@@ -17,14 +17,9 @@ const (
 	MetricAssignRate     = "proclus_assign_points_per_second"
 	MetricDistanceEvals  = "proclus_distance_evals_total"
 	MetricPointsScanned  = "proclus_points_scanned_total"
-	// The kernel series split proclus_distance_evals_total by how each
-	// evaluation ended — run to completion versus cut short by the early
-	// abandonment cutoff — and count the coordinates the exact kernels
-	// actually read (the pruned tier's work measure; the naive tier
-	// reports the full evals × |dims| product).
-	MetricDistanceEvalsFull      = "proclus_distance_evals_full_total"
-	MetricDistanceEvalsAbandoned = "proclus_distance_evals_abandoned_total"
-	MetricCoordsVisited          = "proclus_coords_visited_total"
+	// The coordinates the exact distance kernels read: evaluations ×
+	// the dimension-set size of each.
+	MetricCoordsVisited = "proclus_coords_visited_total"
 	// The cache series quantify the incremental engine's savings:
 	// hits are distance evaluations avoided relative to naive
 	// evaluation, recomputes are cache-column refills actually
@@ -41,13 +36,6 @@ const (
 	MetricStreamBlocks       = "proclus_stream_blocks_total"
 	MetricStreamBytes        = "proclus_stream_bytes_total"
 	MetricStreamResidentPeak = "proclus_stream_resident_points_peak"
-	// The sketch series exist only when the random-projection tier is on
-	// (Config.Sketch): projected-distance evaluations, and the two
-	// outcomes of the sketch filter — comparisons the lower bound
-	// resolved alone versus survivors re-checked exactly.
-	MetricSketchEvals       = "proclus_sketch_projected_evals_total"
-	MetricSketchPruneHits   = "proclus_sketch_prune_hits_total"
-	MetricSketchPruneMisses = "proclus_sketch_prune_misses_total"
 )
 
 // runnerMetrics caches pre-resolved metric handles so instrumentation
@@ -62,8 +50,6 @@ type runnerMetrics struct {
 	objectiveDelta      *metrics.Histogram
 	assignRate          *metrics.Rate
 	distanceEvals       *metrics.Gauge
-	distanceEvalsFull   *metrics.Gauge
-	distanceEvalsAband  *metrics.Gauge
 	coordsVisited       *metrics.Gauge
 	pointsScanned       *metrics.Gauge
 	distCacheHits       *metrics.Gauge
@@ -79,13 +65,6 @@ type runnerMetrics struct {
 	streamBlocks       *metrics.Gauge
 	streamBytes        *metrics.Gauge
 	streamResidentPeak *metrics.Gauge
-
-	// Sketch handles are registered lazily by enableSketch, mirroring the
-	// stream series: unsketched runs' registries (and golden snapshots)
-	// stay untouched.
-	sketchEvals       *metrics.Gauge
-	sketchPruneHits   *metrics.Gauge
-	sketchPruneMisses *metrics.Gauge
 
 	// foldMu guards folded, the counter snapshot already credited to the
 	// registry. Folding deltas (rather than setting totals) keeps the
@@ -115,10 +94,6 @@ func newRunnerMetrics(reg *metrics.Registry) *runnerMetrics {
 		"assignment-pass throughput in points per second")
 	m.distanceEvals = reg.Counter(MetricDistanceEvals,
 		"point-to-point distance evaluations")
-	m.distanceEvalsFull = reg.Counter(MetricDistanceEvalsFull,
-		"distance evaluations run to completion")
-	m.distanceEvalsAband = reg.Counter(MetricDistanceEvalsAbandoned,
-		"distance evaluations cut short by the early-abandonment cutoff")
 	m.coordsVisited = reg.Counter(MetricCoordsVisited,
 		"coordinates read by exact distance kernels")
 	m.pointsScanned = reg.Counter(MetricPointsScanned,
@@ -145,20 +120,6 @@ func (m *runnerMetrics) enableStream() {
 		"encoded point bytes delivered by out-of-core passes")
 	m.streamResidentPeak = m.reg.Gauge(MetricStreamResidentPeak,
 		"peak resident point storage of the streamed engine (sample + block buffers)")
-}
-
-// enableSketch registers the random-projection series. The runner calls
-// it once while building the sketch state, before any pruned pass runs.
-func (m *runnerMetrics) enableSketch() {
-	if m == nil {
-		return
-	}
-	m.sketchEvals = m.reg.Counter(MetricSketchEvals,
-		"projected-distance evaluations by the random-projection sketch tier")
-	m.sketchPruneHits = m.reg.Counter(MetricSketchPruneHits,
-		"candidate comparisons the sketch lower bound resolved without an exact evaluation")
-	m.sketchPruneMisses = m.reg.Counter(MetricSketchPruneMisses,
-		"sketch-filter survivors re-checked with the exact distance kernel")
 }
 
 func (m *runnerMetrics) observeStreamResidentPeak(points int) {
@@ -222,29 +183,18 @@ func (m *runnerMetrics) fold(c *obs.Counters) {
 	cur := c.Snapshot()
 	m.foldMu.Lock()
 	d := obs.Snapshot{
-		DistanceEvals:          cur.DistanceEvals - m.folded.DistanceEvals,
-		DistanceEvalsFull:      cur.DistanceEvalsFull - m.folded.DistanceEvalsFull,
-		DistanceEvalsAbandoned: cur.DistanceEvalsAbandoned - m.folded.DistanceEvalsAbandoned,
-		CoordsVisited:          cur.CoordsVisited - m.folded.CoordsVisited,
-		PointsScanned:          cur.PointsScanned - m.folded.PointsScanned,
-		DistCacheHits:          cur.DistCacheHits - m.folded.DistCacheHits,
-		DistCacheRecomputes:    cur.DistCacheRecomputes - m.folded.DistCacheRecomputes,
-		StreamBlocks:           cur.StreamBlocks - m.folded.StreamBlocks,
-		StreamBytes:            cur.StreamBytes - m.folded.StreamBytes,
-		SketchEvals:            cur.SketchEvals - m.folded.SketchEvals,
-		SketchPruneHits:        cur.SketchPruneHits - m.folded.SketchPruneHits,
-		SketchPruneMisses:      cur.SketchPruneMisses - m.folded.SketchPruneMisses,
+		DistanceEvals:       cur.DistanceEvals - m.folded.DistanceEvals,
+		CoordsVisited:       cur.CoordsVisited - m.folded.CoordsVisited,
+		PointsScanned:       cur.PointsScanned - m.folded.PointsScanned,
+		DistCacheHits:       cur.DistCacheHits - m.folded.DistCacheHits,
+		DistCacheRecomputes: cur.DistCacheRecomputes - m.folded.DistCacheRecomputes,
+		StreamBlocks:        cur.StreamBlocks - m.folded.StreamBlocks,
+		StreamBytes:         cur.StreamBytes - m.folded.StreamBytes,
 	}
 	m.folded = cur
 	m.foldMu.Unlock()
 	if d.DistanceEvals != 0 {
 		m.distanceEvals.Add(float64(d.DistanceEvals))
-	}
-	if d.DistanceEvalsFull != 0 {
-		m.distanceEvalsFull.Add(float64(d.DistanceEvalsFull))
-	}
-	if d.DistanceEvalsAbandoned != 0 {
-		m.distanceEvalsAband.Add(float64(d.DistanceEvalsAbandoned))
 	}
 	if d.CoordsVisited != 0 {
 		m.coordsVisited.Add(float64(d.CoordsVisited))
@@ -263,15 +213,6 @@ func (m *runnerMetrics) fold(c *obs.Counters) {
 	}
 	if d.StreamBytes != 0 && m.streamBytes != nil {
 		m.streamBytes.Add(float64(d.StreamBytes))
-	}
-	if d.SketchEvals != 0 && m.sketchEvals != nil {
-		m.sketchEvals.Add(float64(d.SketchEvals))
-	}
-	if d.SketchPruneHits != 0 && m.sketchPruneHits != nil {
-		m.sketchPruneHits.Add(float64(d.SketchPruneHits))
-	}
-	if d.SketchPruneMisses != 0 && m.sketchPruneMisses != nil {
-		m.sketchPruneMisses.Add(float64(d.SketchPruneMisses))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"proclus/internal/dataset"
@@ -72,9 +73,6 @@ type runner struct {
 	// series records per-iteration and per-block trajectories; nil —
 	// the default, recording is opt-in via Config.Series — disables it.
 	series *runnerSeries
-	// sk is the random-projection sketch state; nil — the default, the
-	// tier is opt-in via Config.Sketch — leaves every pass exact.
-	sk *sketchState
 }
 
 // emit forwards an event to the attached observer. The nil check is
@@ -114,11 +112,6 @@ func (r *runner) run() (*Result, error) {
 	r.emit(obs.Event{Type: obs.EvPhaseStart, Phase: "initialize"})
 	start := time.Now()
 	r.innerWorkers = workers
-	// The projection of the full dataset is part of initialization work,
-	// so it runs inside the phase timer.
-	if err := r.enableSketch(); err != nil {
-		return nil, err
-	}
 	candidates, err := r.initialize()
 	if err != nil {
 		return nil, err
@@ -279,37 +272,32 @@ func (r *runner) initialize() ([]int, error) {
 	if medoidCount > len(s) {
 		medoidCount = len(s)
 	}
-	// The traversal batches its own evaluation accounting per chunk, so
-	// the distance closures stay free of per-call atomics. The bounded
-	// closure abandons folds against the running minima; under
-	// KernelNaive it ignores the traversal's cutoff, which restores the
-	// full-evaluation behaviour while keeping the coordinate accounting.
-	bounded := r.greedyBounded(func(i int) []float64 { return r.ds.Point(s[i]) })
-	var picks []int
-	switch {
-	case r.sk == nil:
-		picks, err = greedy.FarthestFirstBounded(r.rng, len(s), medoidCount, r.innerWorkers,
-			bounded, nil, &r.counters)
-	case r.sk.approx:
-		// Approx mode: the sketch distance stands in for the exact metric
-		// outright, so every traversal evaluation is a sketch evaluation.
-		picks, err = greedy.FarthestFirstCounted(r.rng, len(s), medoidCount, r.innerWorkers,
-			func(i, j int) float64 { return r.sk.distance(s[i], s[j]) }, &r.counters.SketchEvals)
-	default:
-		// Prune mode: the sketch lower bound filters the distance folds,
-		// and survivors are re-checked with the bounded kernel — the
-		// picks stay bit-identical to the unsketched traversal.
-		picks, err = greedy.FarthestFirstBounded(r.rng, len(s), medoidCount, r.innerWorkers,
-			bounded, func(i, j int) float64 { return r.sk.lowerBound(s[i], s[j]) }, &r.counters)
-	}
+	picks, err := r.farthestFirst(len(s), medoidCount, func(i int) []float64 { return r.ds.Point(s[i]) })
 	if err != nil {
-		return nil, fmt.Errorf("proclus: greedy medoid selection: %w", err)
+		return nil, err
 	}
 	candidates := make([]int, len(picks))
 	for i, p := range picks {
 		candidates[i] = s[p]
 	}
 	return candidates, nil
+}
+
+// farthestFirst thins m points of r.ds, addressed by at, to count
+// candidate medoids by greedy farthest-first traversal over the
+// full-dimensional segmental distance (paper Figure 3). The traversal
+// tallies its evaluations per chunk, so the distance closure stays free
+// of per-call atomics; each evaluation visits every dimension.
+func (r *runner) farthestFirst(m, count int, at func(i int) []float64) ([]int, error) {
+	var evals atomic.Int64
+	picks, err := greedy.FarthestFirstCounted(r.rng, m, count, r.innerWorkers,
+		func(i, j int) float64 { return dist.SegmentalAll(at(i), at(j)) }, &evals)
+	if err != nil {
+		return nil, fmt.Errorf("proclus: greedy medoid selection: %w", err)
+	}
+	r.counters.DistanceEvals.Add(evals.Load())
+	r.counters.CoordsVisited.Add(evals.Load() * int64(r.ds.Dims()))
+	return picks, nil
 }
 
 // trialState is one evaluated clustering during the hill climb.
@@ -432,54 +420,24 @@ func (r *runner) computeLocalities(medoids []int) [][]int {
 	delta := make([]float64, k)
 	// Each δ_i is an independent minimum over the other medoids, so the
 	// rows parallelize with disjoint writes and worker-count-independent
-	// results. Approx mode swaps the sketch distance in for the radii as
-	// well as the scan; prune mode keeps the radii exact — the filter
-	// below only works against exact thresholds.
-	approx := r.sk != nil && r.sk.approx
-	pruned := r.prunedKernel()
+	// results.
 	fullDims := int64(r.ds.Dims())
 	parallel.For(k, r.innerWorkers, func(lo, hi int) {
-		var t kernelTally
 		for i := lo; i < hi; i++ {
 			delta[i] = math.Inf(1)
 			for j := range medoids {
 				if i == j {
 					continue
 				}
-				if approx {
-					if d := r.sk.distance(medoids[i], medoids[j]); d < delta[i] {
-						delta[i] = d
-					}
-					continue
-				}
-				// Running-minimum fold with early abandonment: an
-				// abandoned candidate proved itself above the current
-				// minimum, so the resulting δ_i is the exact naive one.
-				if pruned {
-					d, v, ab := dist.SegmentalAllBounded(r.ds.Point(medoids[i]), r.ds.Point(medoids[j]), delta[i])
-					t.coords += int64(v)
-					if ab {
-						t.abandoned++
-						continue
-					}
-					t.full++
-					if d < delta[i] {
-						delta[i] = d
-					}
-				} else {
-					t.full++
-					t.coords += fullDims
-					if d := dist.SegmentalAll(r.ds.Point(medoids[i]), r.ds.Point(medoids[j])); d < delta[i] {
-						delta[i] = d
-					}
+				if d := dist.SegmentalAll(r.ds.Point(medoids[i]), r.ds.Point(medoids[j])); d < delta[i] {
+					delta[i] = d
 				}
 			}
 		}
-		t.credit(&r.counters)
 	})
-	if approx {
-		r.counters.SketchEvals.Add(int64(k) * int64(k-1))
-	}
+	pairs := int64(k) * int64(k-1)
+	r.counters.DistanceEvals.Add(pairs)
+	r.counters.CoordsVisited.Add(pairs * fullDims)
 	// Sharded scan: each worker fills per-chunk lists, concatenated in
 	// chunk order afterwards so the result is identical to a serial
 	// scan. Strict inequality keeps the nearest other medoid (at
@@ -499,89 +457,19 @@ func (r *runner) computeLocalities(medoids []int) [][]int {
 	var chunks []chunk
 	parallel.For(n, r.innerWorkers, func(lo, hi int) {
 		lists := make([][]int, k)
-		switch {
-		case r.sk == nil:
-			// One batched tally per chunk keeps the counters off the inner
-			// loop; the totals are exact and independent of Workers. A
-			// bounded evaluation abandoned against δ_i proved the strict <
-			// test below false, so the lists match the naive scan's.
-			var t kernelTally
-			for p := lo; p < hi; p++ {
-				pt := r.ds.Point(p)
-				for i := range medoidPoints {
-					if pruned {
-						d, v, ab := dist.SegmentalAllBounded(pt, medoidPoints[i], delta[i])
-						t.coords += int64(v)
-						if ab {
-							t.abandoned++
-							continue
-						}
-						t.full++
-						if d < delta[i] {
-							lists[i] = append(lists[i], p)
-						}
-					} else {
-						t.full++
-						t.coords += fullDims
-						if dist.SegmentalAll(pt, medoidPoints[i]) < delta[i] {
-							lists[i] = append(lists[i], p)
-						}
-					}
+		for p := lo; p < hi; p++ {
+			pt := r.ds.Point(p)
+			for i := range medoidPoints {
+				if dist.SegmentalAll(pt, medoidPoints[i]) < delta[i] {
+					lists[i] = append(lists[i], p)
 				}
 			}
-			t.credit(&r.counters)
-		case approx:
-			for p := lo; p < hi; p++ {
-				for i, m := range medoids {
-					if r.sk.distance(p, m) < delta[i] {
-						lists[i] = append(lists[i], p)
-					}
-				}
-			}
-			r.counters.SketchEvals.Add(int64(hi-lo) * int64(k))
-		default:
-			// Prune mode: when the lower bound already reaches δ_i the
-			// exact distance cannot fall strictly below it, so the point is
-			// outside the locality without an exact evaluation. Survivors
-			// re-check exactly, so the lists stay bit-identical to the
-			// unsketched scan. The per-point outcomes depend on values
-			// only, never on chunking, so the batched totals are
-			// worker-count invariant.
-			var hits, misses int64
-			var t kernelTally
-			for p := lo; p < hi; p++ {
-				pt := r.ds.Point(p)
-				for i, m := range medoids {
-					if r.sk.lowerBound(p, m) >= delta[i] {
-						hits++
-						continue
-					}
-					misses++
-					if pruned {
-						d, v, ab := dist.SegmentalAllBounded(pt, medoidPoints[i], delta[i])
-						t.coords += int64(v)
-						if ab {
-							t.abandoned++
-							continue
-						}
-						t.full++
-						if d < delta[i] {
-							lists[i] = append(lists[i], p)
-						}
-					} else {
-						t.full++
-						t.coords += fullDims
-						if dist.SegmentalAll(pt, medoidPoints[i]) < delta[i] {
-							lists[i] = append(lists[i], p)
-						}
-					}
-				}
-			}
-			r.counters.SketchEvals.Add(int64(hi-lo) * int64(k))
-			r.counters.SketchPruneHits.Add(hits)
-			r.counters.SketchPruneMisses.Add(misses)
-			t.credit(&r.counters)
 		}
+		// One batched add per chunk keeps the counters off the inner
+		// loop; the totals are exact and independent of Workers.
+		evals := int64(hi-lo) * int64(k)
+		r.counters.DistanceEvals.Add(evals)
+		r.counters.CoordsVisited.Add(evals * fullDims)
 		r.counters.PointsScanned.Add(int64(hi - lo))
 		mu.Lock()
 		chunks = append(chunks, chunk{lo: lo, lists: lists})
@@ -621,17 +509,9 @@ func (r *runner) assignPointsInto(medoidPoints [][]float64, dims [][]int,
 	metric func(pt, medoid []float64, dims []int) float64, assign, sizes []int) {
 	n := r.ds.Len()
 	passStart := time.Now()
-	if r.prunedKernel() {
-		pk := newPackedRows(len(medoidPoints))
-		pk.pack(medoidPoints, dims)
-		parallel.For(n, r.innerWorkers, func(lo, hi int) {
-			r.assignChunkPruned(pk, dims, assign, lo, hi)
-		})
-	} else {
-		parallel.For(n, r.innerWorkers, func(lo, hi int) {
-			r.assignChunk(medoidPoints, dims, metric, assign, lo, hi)
-		})
-	}
+	parallel.For(n, r.innerWorkers, func(lo, hi int) {
+		r.assignChunk(medoidPoints, dims, metric, assign, lo, hi)
+	})
 	// One Rate observation per pass (two clock reads), far below the
 	// assignment path's ~2% overhead budget.
 	r.metrics.observeAssign(int64(n), time.Since(passStart).Seconds())
@@ -657,7 +537,6 @@ func (r *runner) assignChunk(medoidPoints [][]float64, dims [][]int,
 	}
 	evals := int64(hi-lo) * int64(len(medoidPoints))
 	r.counters.DistanceEvals.Add(evals)
-	r.counters.DistanceEvalsFull.Add(evals)
 	r.counters.CoordsVisited.Add(int64(hi-lo) * dimsTotal(dims))
 	r.counters.PointsScanned.Add(int64(hi - lo))
 }
@@ -695,22 +574,14 @@ func (r *runner) evaluateClusters(assign []int, sizes []int, dims [][]int) float
 	for i := range centroids {
 		centroids[i] = make([]float64, d)
 	}
-	var pk *packedRows
-	if r.prunedKernel() {
-		pk = newPackedRows(k)
-	}
-	return r.evaluateClustersInto(assign, sizes, dims, centroids, make([]float64, k), pk)
+	return r.evaluateClustersInto(assign, sizes, dims, centroids, make([]float64, k))
 }
 
 // evaluateClustersInto is evaluateClusters accumulating into
 // caller-owned buffers (k centroid rows of ds.Dims() each, k deviation
-// slots), which the incremental engine reuses across iterations. A
-// non-nil pk (the pruned tier) gathers each centroid's coordinates over
-// its dimension set into packed rows before the deviation pass — the
-// same floats in the same order, so the objective is bit-identical,
-// but the inner loop reads sequentially instead of double-indirecting.
+// slots), which the incremental engine reuses across iterations.
 func (r *runner) evaluateClustersInto(assign []int, sizes []int, dims [][]int,
-	centroids [][]float64, devs []float64, pk *packedRows) float64 {
+	centroids [][]float64, devs []float64) float64 {
 	// This pass stays serial: floating-point accumulation order must not
 	// depend on the worker count, or the hill climb's accept/reject
 	// decisions (and hence the whole result) could differ between runs
@@ -745,30 +616,15 @@ func (r *runner) evaluateClustersInto(assign []int, sizes []int, dims [][]int,
 	for i := range devs {
 		devs[i] = 0
 	}
-	if pk != nil {
-		pk.pack(centroids, dims)
-		for p := 0; p < n; p++ {
-			pt := r.ds.Point(p)
-			i := assign[p]
-			row := pk.rows[i]
-			di := dims[i]
-			var s float64
-			for j, jj := range di {
-				s += math.Abs(pt[jj] - row[j])
-			}
-			devs[i] += s / float64(len(di))
+	for p := 0; p < n; p++ {
+		pt := r.ds.Point(p)
+		i := assign[p]
+		c := centroids[i]
+		var s float64
+		for _, j := range dims[i] {
+			s += math.Abs(pt[j] - c[j])
 		}
-	} else {
-		for p := 0; p < n; p++ {
-			pt := r.ds.Point(p)
-			i := assign[p]
-			c := centroids[i]
-			var s float64
-			for _, j := range dims[i] {
-				s += math.Abs(pt[j] - c[j])
-			}
-			devs[i] += s / float64(len(dims[i]))
-		}
+		devs[i] += s / float64(len(dims[i]))
 	}
 	var total float64
 	for i := range devs {
@@ -843,90 +699,21 @@ func (r *runner) refine(best *trialState) *Result {
 
 	assign, _ := r.assignPoints(best.medoids, dims)
 
-	// Sphere of influence: Δ_i = min over other medoids of the segmental
-	// distance w.r.t. D_i. A point is an outlier iff it exceeds Δ_i for
-	// every medoid i.
-	pruned := r.prunedKernel()
-	delta := make([]float64, k)
-	{
-		var t kernelTally
-		for i := range best.medoids {
-			pi := r.ds.Point(best.medoids[i])
-			delta[i] = math.Inf(1)
-			for j := range best.medoids {
-				if i == j {
-					continue
-				}
-				pj := r.ds.Point(best.medoids[j])
-				if pruned {
-					// The running minimum is the cutoff: an abandoned
-					// candidate proved it cannot lower Δ_i.
-					d, v, ab := dist.SegmentalBounded(pi, pj, dims[i], delta[i])
-					t.coords += int64(v)
-					if ab {
-						t.abandoned++
-						continue
-					}
-					t.full++
-					if d < delta[i] {
-						delta[i] = d
-					}
-				} else {
-					t.full++
-					t.coords += int64(len(dims[i]))
-					if d := dist.Segmental(pi, pj, dims[i]); d < delta[i] {
-						delta[i] = d
-					}
-				}
-			}
-		}
-		t.credit(&r.counters)
-	}
+	// Sphere of influence: a point is an outlier iff it lies outside
+	// every medoid's sphere (see sphereRadii).
 	medoidPoints := make([][]float64, k)
 	for i, m := range best.medoids {
 		medoidPoints[i] = r.ds.Point(m)
 	}
-	var pk *packedRows
-	if pruned {
-		pk = newPackedRows(k)
-		pk.pack(medoidPoints, dims)
-	}
+	delta := r.sphereRadii(medoidPoints, dims)
 	parallel.For(r.ds.Len(), r.innerWorkers, func(lo, hi int) {
 		// The early break makes the per-point distance count
 		// data-dependent, so accumulate locally and add once per chunk.
 		// Each point's count is chunking-independent, so the total still
 		// matches a serial scan exactly.
-		var t kernelTally
+		var t evalTally
 		for p := lo; p < hi; p++ {
-			pt := r.ds.Point(p)
-			outlier := true
-			for i := range medoidPoints {
-				if pruned {
-					// Abandonment proves d > Δ_i — the "outside the
-					// sphere" outcome — so the probe sequence and the
-					// break point match the naive scan; a completed
-					// evaluation still tests its exact value.
-					d, v, ab := dist.SegmentalPackedBounded(pt, pk.rows[i], dims[i], delta[i])
-					t.coords += int64(v)
-					if ab {
-						t.abandoned++
-						continue
-					}
-					t.full++
-					if d <= delta[i] {
-						outlier = false
-						break
-					}
-					continue
-				}
-				t.full++
-				t.coords += int64(len(dims[i]))
-				if dist.Segmental(pt, medoidPoints[i], dims[i]) <= delta[i] {
-					outlier = false
-					break
-				}
-			}
-			if outlier {
+			if outsideSpheres(r.ds.Point(p), medoidPoints, dims, delta, &t) {
 				assign[p] = OutlierID
 			}
 		}
@@ -937,6 +724,67 @@ func (r *runner) refine(best *trialState) *Result {
 	res := r.packageResult(best.medoids, dims, assign)
 	res.Objective = r.finalObjective(res)
 	return res
+}
+
+// sphereRadii returns each medoid's sphere of influence Δ_i: the
+// minimum, over the other medoids, of the segmental distance w.r.t.
+// D_i (paper §2.3).
+func (r *runner) sphereRadii(medoidPoints [][]float64, dims [][]int) []float64 {
+	delta := make([]float64, len(medoidPoints))
+	var t evalTally
+	for i := range medoidPoints {
+		delta[i] = math.Inf(1)
+		for j := range medoidPoints {
+			if i == j {
+				continue
+			}
+			t.evals++
+			t.coords += int64(len(dims[i]))
+			if d := dist.Segmental(medoidPoints[i], medoidPoints[j], dims[i]); d < delta[i] {
+				delta[i] = d
+			}
+		}
+	}
+	t.credit(&r.counters)
+	return delta
+}
+
+// outsideSpheres reports whether pt exceeds Δ_i for every medoid i,
+// probing in medoid order and stopping at the first sphere that holds
+// it; the evaluations it ran are tallied into t.
+func outsideSpheres(pt []float64, medoidPoints [][]float64, dims [][]int,
+	delta []float64, t *evalTally) bool {
+	for i := range medoidPoints {
+		t.evals++
+		t.coords += int64(len(dims[i]))
+		if dist.Segmental(pt, medoidPoints[i], dims[i]) <= delta[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// evalTally accumulates one worker chunk's distance work so the hot
+// loops pay one batch of atomic adds per chunk.
+type evalTally struct {
+	evals  int64 // distance evaluations
+	coords int64 // coordinates those evaluations visited
+}
+
+// credit adds the tally to the run counters.
+func (t *evalTally) credit(c *obs.Counters) {
+	c.DistanceEvals.Add(t.evals)
+	c.CoordsVisited.Add(t.coords)
+}
+
+// dimsTotal is the summed dimension-set size Σᵢ |dims[i]| — the
+// coordinate cost of one full k-way evaluation.
+func dimsTotal(dims [][]int) int64 {
+	var t int64
+	for _, d := range dims {
+		t += int64(len(d))
+	}
+	return t
 }
 
 // packageResult assembles a Result from a medoid set, per-medoid

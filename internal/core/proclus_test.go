@@ -38,6 +38,9 @@ func TestRunValidatesConfig(t *testing.T) {
 		{K: 2, L: 1},
 		{K: 2, L: 5},                    // L > dims
 		{K: 2, L: 2, MinDeviation: 1.5}, // bad deviation
+		{K: 2, L: 2, MinDeviation: math.NaN()},
+		{K: 2, L: 2, MaxNoImprove: -1},
+		{K: 2, L: 2, MaxIterations: -1},
 		{K: 2, L: 2, MedoidFactor: 10, SampleFactor: 5},
 		{K: 1000, L: 2}, // more clusters than points
 	}

@@ -20,23 +20,17 @@ type ConfigReport struct {
 	InitMethod     string  `json:"init_method"`
 	AssignMetric   string  `json:"assign_metric"`
 	EvalMode       string  `json:"eval_mode"`
-	Kernel         string  `json:"kernel"`
 	SkipRefinement bool    `json:"skip_refinement,omitempty"`
 	// Stream and BlockPoints echo the out-of-core execution parameters
 	// when the run came through RunStream; both stay zero (and absent
 	// from reports) for in-memory runs.
 	Stream      bool `json:"stream,omitempty"`
 	BlockPoints int  `json:"block_points,omitempty"`
-	// SketchDims and SketchMode echo the random-projection tier; both
-	// stay absent while the tier is off, keeping unsketched reports
-	// byte-stable.
-	SketchDims int    `json:"sketch_dims,omitempty"`
-	SketchMode string `json:"sketch_mode,omitempty"`
 }
 
 // reportConfig builds the JSON-safe echo of cfg.
 func (cfg Config) reportConfig() ConfigReport {
-	rep := ConfigReport{
+	return ConfigReport{
 		K:              cfg.K,
 		L:              cfg.L,
 		SampleFactor:   cfg.SampleFactor,
@@ -50,14 +44,8 @@ func (cfg Config) reportConfig() ConfigReport {
 		InitMethod:     cfg.InitMethod.String(),
 		AssignMetric:   cfg.AssignMetric.String(),
 		EvalMode:       cfg.IncrementalEval.String(),
-		Kernel:         cfg.Kernel.String(),
 		SkipRefinement: cfg.SkipRefinement,
 	}
-	if cfg.Sketch.enabled() {
-		rep.SketchDims = cfg.Sketch.Dims
-		rep.SketchMode = cfg.Sketch.Mode.String()
-	}
-	return rep
 }
 
 // Report assembles the machine-readable run report: effective config

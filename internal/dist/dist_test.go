@@ -229,3 +229,50 @@ func TestLpIntegerFastPath(t *testing.T) {
 		}
 	}
 }
+
+// TestPowInt pins the square-and-multiply kernel: bit-identical to the
+// old multiply chain for e ≤ 3 and within an ulp-scale tolerance of
+// math.Pow beyond that.
+func TestPowInt(t *testing.T) {
+	chain := func(d float64, e int) float64 {
+		pw := d
+		for i := 1; i < e; i++ {
+			pw *= d
+		}
+		return pw
+	}
+	r := randx.New(13)
+	for trial := 0; trial < 500; trial++ {
+		d := r.Float64() * 10
+		for e := 1; e <= 3; e++ {
+			if got, want := powInt(d, e), chain(d, e); got != want {
+				t.Fatalf("powInt(%v,%d) = %v not bit-identical to chain %v", d, e, got, want)
+			}
+		}
+		for e := 4; e <= 9; e++ {
+			if got, want := powInt(d, e), math.Pow(d, float64(e)); !almostEqual(got, want) {
+				t.Fatalf("powInt(%v,%d) = %v, math.Pow = %v", d, e, got, want)
+			}
+		}
+	}
+	if got := powInt(0, 3); got != 0 {
+		t.Fatalf("powInt(0,3) = %v, want 0", got)
+	}
+	if got := powInt(2, 10); got != 1024 {
+		t.Fatalf("powInt(2,10) = %v, want 1024", got)
+	}
+}
+
+// randDims draws a random non-empty dimension subset of [0, n).
+func randDims(r *randx.Rand, n int) []int {
+	var dims []int
+	for j := 0; j < n; j++ {
+		if r.Intn(2) == 0 {
+			dims = append(dims, j)
+		}
+	}
+	if len(dims) == 0 {
+		dims = []int{r.Intn(n)}
+	}
+	return dims
+}

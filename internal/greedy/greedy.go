@@ -6,12 +6,10 @@ package greedy
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"proclus/internal/obs"
 	"proclus/internal/parallel"
 	"proclus/internal/randx"
 )
@@ -20,14 +18,6 @@ import (
 // the item at index j. Implementations are supplied by the caller so the
 // traversal is agnostic to the point representation and metric.
 type DistanceTo func(i, j int) float64
-
-// BoundedDistanceTo is DistanceTo with an early-abandonment cutoff: it
-// returns the distance from item i to item j, the number of coordinates
-// visited, and whether the evaluation was abandoned because the partial
-// sum already proved the distance strictly exceeds cutoff. An abandoned
-// call returns a partial (lower-bounding) value that is itself > cutoff.
-// A cutoff of +Inf must evaluate fully.
-type BoundedDistanceTo func(i, j int, cutoff float64) (float64, int, bool)
 
 // FarthestFirst selects k indices from [0, n) by farthest-first
 // traversal: the first pick is uniform at random, and every subsequent
@@ -63,61 +53,6 @@ func FarthestFirstParallel(r *randx.Rand, n, k, workers int, d DistanceTo) ([]in
 // recorded count is identical to per-call counting. A nil evals
 // disables accounting.
 func FarthestFirstCounted(r *randx.Rand, n, k, workers int, d DistanceTo, evals *atomic.Int64) ([]int, error) {
-	return farthestFirst(r, n, k, workers, d, nil, nil, evals, nil)
-}
-
-// FarthestFirstPruned is FarthestFirstCounted with a sketch filter on
-// the distance-fold pass: lb must lower-bound d (lb(i, j) ≤ d(i, j)
-// for all pairs), and each fold first evaluates lb — when the bound
-// already reaches the item's running minimum the exact distance cannot
-// lower it and the evaluation of d is skipped. The picks are identical
-// to the unpruned traversal for any worker count: a skipped fold is one
-// the unpruned fold would have rejected anyway, and the initial fill
-// and the arg-max scans are untouched. c, when non-nil, receives the
-// accounting: exact evaluations in DistanceEvals, bound evaluations in
-// SketchEvals, and the filter outcomes in SketchPruneHits/Misses —
-// batched per chunk and chunking-independent like the unpruned totals.
-func FarthestFirstPruned(r *randx.Rand, n, k, workers int, d, lb DistanceTo, c *obs.Counters) ([]int, error) {
-	if lb == nil {
-		return nil, fmt.Errorf("greedy: FarthestFirstPruned requires a lower-bound function")
-	}
-	var evals *atomic.Int64
-	if c != nil {
-		evals = &c.DistanceEvals
-	}
-	return farthestFirst(r, n, k, workers, d, nil, lb, evals, c)
-}
-
-// FarthestFirstBounded is the early-abandoning traversal: each fold
-// evaluates bd against the item's running minimum, so hopeless
-// candidates stop at the first coordinate that proves they cannot lower
-// it. The picks are identical to the unpruned traversal for any worker
-// count — an abandoned fold is one the unpruned fold would have
-// rejected, because abandonment proves the distance strictly exceeds
-// the running minimum — and the initial fill always runs with cutoff
-// +Inf. lb, when non-nil, is a sketch lower bound applied before the
-// exact evaluation exactly as in FarthestFirstPruned. c, when non-nil,
-// receives the accounting: every started evaluation in DistanceEvals,
-// split into DistanceEvalsFull and DistanceEvalsAbandoned, with the
-// coordinates actually read in CoordsVisited.
-func FarthestFirstBounded(r *randx.Rand, n, k, workers int, bd BoundedDistanceTo, lb DistanceTo, c *obs.Counters) ([]int, error) {
-	if bd == nil {
-		return nil, fmt.Errorf("greedy: FarthestFirstBounded requires a bounded distance function")
-	}
-	var evals *atomic.Int64
-	if c != nil {
-		evals = &c.DistanceEvals
-	}
-	return farthestFirst(r, n, k, workers, nil, bd, lb, evals, c)
-}
-
-// farthestFirst is the shared traversal. Exactly one of d and bd is
-// non-nil: d is the plain distance, bd the early-abandoning one. The
-// bounded path keeps the picks bit-identical to the plain path because
-// the initial fill never abandons (cutoff +Inf) and an abandoned fold
-// proves its distance strictly exceeds the running minimum, which is
-// precisely the plain fold's rejection condition.
-func farthestFirst(r *randx.Rand, n, k, workers int, d DistanceTo, bd BoundedDistanceTo, lb DistanceTo, evals *atomic.Int64, c *obs.Counters) ([]int, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("greedy: k = %d must be positive", k)
 	}
@@ -128,27 +63,16 @@ func farthestFirst(r *randx.Rand, n, k, workers int, d DistanceTo, bd BoundedDis
 	first := r.Intn(n)
 	picks = append(picks, first)
 
-	inf := math.Inf(1)
 	minDist := make([]float64, n)
 	parallel.For(n, workers, func(lo, hi int) {
-		var coords int64
 		for i := lo; i < hi; i++ {
-			if bd != nil {
-				v, seen, _ := bd(i, first, inf)
-				minDist[i] = v
-				coords += int64(seen)
-			} else {
-				minDist[i] = d(i, first)
-			}
+			minDist[i] = d(i, first)
 		}
 		if evals != nil {
 			evals.Add(int64(hi - lo))
 		}
-		if c != nil && bd != nil {
-			c.DistanceEvalsFull.Add(int64(hi - lo))
-			c.CoordsVisited.Add(coords)
-		}
 	})
+
 	chosen := make([]bool, n)
 	chosen[first] = true
 
@@ -189,48 +113,18 @@ func farthestFirst(r *randx.Rand, n, k, workers int, d DistanceTo, bd BoundedDis
 		chosen[best] = true
 		pick := best
 		parallel.For(n, workers, func(lo, hi int) {
-			var folded, aband, coords, bounds, hits, misses int64
+			var folded int64
 			for i := lo; i < hi; i++ {
 				if chosen[i] {
 					continue
 				}
-				if lb != nil {
-					bounds++
-					if lb(i, pick) >= minDist[i] {
-						// The exact distance is at least the bound, so it
-						// cannot lower the running minimum — the fold below
-						// would reject it. Skipping keeps the minima, and
-						// hence every pick, bit-identical.
-						hits++
-						continue
-					}
-					misses++
-				}
-				if bd != nil {
-					nd, seen, ab := bd(i, pick, minDist[i])
-					coords += int64(seen)
-					if ab {
-						aband++
-					} else if nd < minDist[i] {
-						minDist[i] = nd
-					}
-				} else if nd := d(i, pick); nd < minDist[i] {
+				if nd := d(i, pick); nd < minDist[i] {
 					minDist[i] = nd
 				}
 				folded++
 			}
 			if evals != nil {
 				evals.Add(folded)
-			}
-			if c != nil && bd != nil && folded > 0 {
-				c.DistanceEvalsFull.Add(folded - aband)
-				c.DistanceEvalsAbandoned.Add(aband)
-				c.CoordsVisited.Add(coords)
-			}
-			if c != nil && bounds > 0 {
-				c.SketchEvals.Add(bounds)
-				c.SketchPruneHits.Add(hits)
-				c.SketchPruneMisses.Add(misses)
 			}
 		})
 	}

@@ -10,22 +10,10 @@ import "sync/atomic"
 //
 // Counters must not be copied after first use.
 type Counters struct {
-	// DistanceEvals counts point-to-point distance evaluations started,
-	// whether or not the early-abandoning kernels ran them to
-	// completion; it always equals DistanceEvalsFull +
-	// DistanceEvalsAbandoned wherever the split is credited, so totals
-	// stay comparable across kernel tiers.
+	// DistanceEvals counts point-to-point distance evaluations.
 	DistanceEvals atomic.Int64
-	// DistanceEvalsFull counts evaluations that visited every
-	// coordinate of their dimension set.
-	DistanceEvalsFull atomic.Int64
-	// DistanceEvalsAbandoned counts evaluations the bounded kernels cut
-	// short once the partial sum proved the candidate could not win.
-	DistanceEvalsAbandoned atomic.Int64
 	// CoordsVisited counts the coordinates the exact distance kernels
-	// actually touched. Without abandonment it equals the full
-	// Σ evals × |dims| product; the gap between the two is the pruned
-	// kernel tier's win.
+	// read: the Σ evals × |dims| product.
 	CoordsVisited atomic.Int64
 	// PointsScanned counts data-point visits by full-dataset passes
 	// (assignment and outlier passes in PROCLUS, histogram and counting
@@ -40,26 +28,13 @@ type Counters struct {
 	DistCacheHits atomic.Int64
 	// DistCacheRecomputes counts point×medoid distances recomputed into
 	// the cache after a medoid swap invalidated their column. Every
-	// recompute is also a DistanceEvals evaluation — except under the
-	// sketch tier's Approx mode, where the cached metric is the
-	// projected distance and recomputes are SketchEvals instead.
+	// recompute is also a DistanceEvals evaluation.
 	DistCacheRecomputes atomic.Int64
 	// StreamBlocks counts blocks delivered by out-of-core passes over a
 	// PointSource (zero for fully in-memory runs).
 	StreamBlocks atomic.Int64
 	// StreamBytes counts the encoded point bytes those blocks carried.
 	StreamBytes atomic.Int64
-	// SketchEvals counts projected-distance evaluations in the random-
-	// projection tier (d'-dimensional, so each is d'/d the cost of a
-	// DistanceEvals evaluation). Zero when the sketch tier is off.
-	SketchEvals atomic.Int64
-	// SketchPruneHits counts candidate comparisons the sketch lower
-	// bound resolved alone — full-dimensional evaluations avoided.
-	SketchPruneHits atomic.Int64
-	// SketchPruneMisses counts candidates that survived the sketch
-	// filter and required the exact re-check (each re-check is also a
-	// DistanceEvals evaluation).
-	SketchPruneMisses atomic.Int64
 }
 
 // Snapshot returns a plain-integer copy of the counters. A nil
@@ -69,19 +44,14 @@ func (c *Counters) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	return Snapshot{
-		DistanceEvals:          c.DistanceEvals.Load(),
-		DistanceEvalsFull:      c.DistanceEvalsFull.Load(),
-		DistanceEvalsAbandoned: c.DistanceEvalsAbandoned.Load(),
-		CoordsVisited:          c.CoordsVisited.Load(),
-		PointsScanned:          c.PointsScanned.Load(),
-		DenseUnitProbes:        c.DenseUnitProbes.Load(),
-		DistCacheHits:          c.DistCacheHits.Load(),
-		DistCacheRecomputes:    c.DistCacheRecomputes.Load(),
-		StreamBlocks:           c.StreamBlocks.Load(),
-		StreamBytes:            c.StreamBytes.Load(),
-		SketchEvals:            c.SketchEvals.Load(),
-		SketchPruneHits:        c.SketchPruneHits.Load(),
-		SketchPruneMisses:      c.SketchPruneMisses.Load(),
+		DistanceEvals:       c.DistanceEvals.Load(),
+		CoordsVisited:       c.CoordsVisited.Load(),
+		PointsScanned:       c.PointsScanned.Load(),
+		DenseUnitProbes:     c.DenseUnitProbes.Load(),
+		DistCacheHits:       c.DistCacheHits.Load(),
+		DistCacheRecomputes: c.DistCacheRecomputes.Load(),
+		StreamBlocks:        c.StreamBlocks.Load(),
+		StreamBytes:         c.StreamBytes.Load(),
 	}
 }
 
@@ -89,14 +59,11 @@ func (c *Counters) Snapshot() Snapshot {
 // Stats records and run reports.
 type Snapshot struct {
 	DistanceEvals int64 `json:"distance_evals"`
-	// The kernel-tier split and coordinate-visit counters stay zero for
-	// algorithms that never route through the bounded kernels (CLIQUE);
-	// omitempty keeps their reports byte-stable.
-	DistanceEvalsFull      int64 `json:"distance_evals_full,omitempty"`
-	DistanceEvalsAbandoned int64 `json:"distance_evals_abandoned,omitempty"`
-	CoordsVisited          int64 `json:"coords_visited,omitempty"`
-	PointsScanned          int64 `json:"points_scanned"`
-	DenseUnitProbes        int64 `json:"dense_unit_probes"`
+	// CoordsVisited stays zero for algorithms that evaluate no
+	// distances (CLIQUE); omitempty keeps their reports byte-stable.
+	CoordsVisited   int64 `json:"coords_visited,omitempty"`
+	PointsScanned   int64 `json:"points_scanned"`
+	DenseUnitProbes int64 `json:"dense_unit_probes"`
 	// DistCacheHits and DistCacheRecomputes stay zero under naive
 	// evaluation; omitempty keeps pre-cache reports byte-stable.
 	DistCacheHits       int64 `json:"distcache_hits,omitempty"`
@@ -105,19 +72,12 @@ type Snapshot struct {
 	// omitempty keeps their reports byte-stable too.
 	StreamBlocks int64 `json:"stream_blocks,omitempty"`
 	StreamBytes  int64 `json:"stream_bytes,omitempty"`
-	// The sketch counters stay zero while the random-projection tier is
-	// off; omitempty keeps unsketched reports byte-stable.
-	SketchEvals       int64 `json:"sketch_evals,omitempty"`
-	SketchPruneHits   int64 `json:"sketch_prune_hits,omitempty"`
-	SketchPruneMisses int64 `json:"sketch_prune_misses,omitempty"`
 }
 
 // Merge adds o's counts into s, for aggregating several runs into one
 // total (e.g. across an experiment's repeats).
 func (s *Snapshot) Merge(o Snapshot) {
 	s.DistanceEvals += o.DistanceEvals
-	s.DistanceEvalsFull += o.DistanceEvalsFull
-	s.DistanceEvalsAbandoned += o.DistanceEvalsAbandoned
 	s.CoordsVisited += o.CoordsVisited
 	s.PointsScanned += o.PointsScanned
 	s.DenseUnitProbes += o.DenseUnitProbes
@@ -125,7 +85,4 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.DistCacheRecomputes += o.DistCacheRecomputes
 	s.StreamBlocks += o.StreamBlocks
 	s.StreamBytes += o.StreamBytes
-	s.SketchEvals += o.SketchEvals
-	s.SketchPruneHits += o.SketchPruneHits
-	s.SketchPruneMisses += o.SketchPruneMisses
 }

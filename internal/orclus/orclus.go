@@ -124,9 +124,7 @@ type Result struct {
 type Stats struct {
 	// Counters snapshots the full-dataset passes' work: every projected
 	// distance in the assignment and outlier passes is a
-	// distance_evals_full evaluation (the ORCLUS loop has no
-	// early-abandoning tier, so distance_evals_abandoned stays zero),
-	// and coords_visited counts the |basis|·d coordinates each
+	// distance_evals evaluation, and coords_visited counts the |basis|·d coordinates each
 	// evaluation touched. Totals are identical for every worker count.
 	Counters obs.Snapshot
 	// DatasetPoints and DatasetDims record the input shape.
@@ -278,7 +276,6 @@ func assign(ds *dataset.Dataset, clusters []*state, workers int, counters *obs.C
 		n := int64(hi - lo)
 		counters.PointsScanned.Add(n)
 		counters.DistanceEvals.Add(n * int64(len(clusters)))
-		counters.DistanceEvalsFull.Add(n * int64(len(clusters)))
 		counters.CoordsVisited.Add(n * scanCoords)
 	})
 	for p, b := range best {
@@ -426,7 +423,6 @@ func stripOutliers(ds *dataset.Dataset, clusters []*state, counters *obs.Counter
 	}
 	counters.PointsScanned.Add(scanned)
 	counters.DistanceEvals.Add(evals)
-	counters.DistanceEvalsFull.Add(evals)
 	counters.CoordsVisited.Add(coords)
 }
 

@@ -14,13 +14,6 @@ func TestCountersPopulated(t *testing.T) {
 	if c.DistanceEvals == 0 || c.CoordsVisited == 0 || c.PointsScanned == 0 {
 		t.Fatalf("counters not threaded: %+v", c)
 	}
-	if c.DistanceEvalsFull != c.DistanceEvals {
-		t.Fatalf("full split %d != total %d; the loop has no abandoning tier",
-			c.DistanceEvalsFull, c.DistanceEvals)
-	}
-	if c.DistanceEvalsAbandoned != 0 {
-		t.Fatalf("abandoned = %d, want 0", c.DistanceEvalsAbandoned)
-	}
 	// Every assignment pass scans the full dataset, so points_scanned
 	// must be a multiple of the dataset size (≥ the loop's minimum of
 	// three passes).

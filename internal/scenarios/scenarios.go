@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 
-	"proclus/internal/core"
 	"proclus/internal/dataset"
 	"proclus/internal/eval"
 	"proclus/internal/obs"
@@ -25,7 +24,7 @@ import (
 )
 
 // Cell is one algorithm run within a scenario. Label distinguishes
-// multiple cells of the same algorithm (e.g. sketched vs exact
+// multiple cells of the same algorithm (e.g. two configurations of
 // PROCLUS) and names the cell in goldens and gate failures.
 type Cell struct {
 	Label string
@@ -137,10 +136,7 @@ func Table() []Scenario {
 			},
 			Cells: []Cell{
 				{Label: "proclus", Algo: "proclus", Cfg: registry.Config{K: 3, L: 5, Seed: 5}},
-				{Label: "proclus-sketch", Algo: "proclus", Cfg: registry.Config{
-					K: 3, L: 5, Seed: 5,
-					Sketch: core.SketchConfig{Dims: 16},
-				}},
+				{Label: "kmedoids", Algo: "kmedoids", Cfg: registry.Config{K: 3, Seed: 5}},
 			},
 		},
 	}

@@ -5,9 +5,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"proclus/internal/dataset"
+	"proclus/internal/obs"
 	"proclus/internal/randx"
 	"proclus/internal/synth"
 )
@@ -121,6 +123,28 @@ func TestRunContextCancellation(t *testing.T) {
 	_, err := RunContext(ctx, ds, Config{K: 3, L: 4, Seed: 1})
 	if err == nil {
 		t.Fatal("cancelled context did not abort the run")
+	}
+}
+
+// cancelAtRefine cancels a context when the refine phase starts.
+type cancelAtRefine struct{ cancel context.CancelFunc }
+
+func (c cancelAtRefine) Observe(e obs.Event) {
+	if e.Type == obs.EvPhaseStart && e.Phase == "refine" {
+		c.cancel()
+	}
+}
+
+// TestRunContextCancelledBeforeRefine checks that a cancellation landing
+// after the hill climb stops the run at its refinement pass, as it
+// stops a streamed run.
+func TestRunContextCancelledBeforeRefine(t *testing.T) {
+	ds := ablationData(t)
+	ctx, cancel := contextWithCancel()
+	defer cancel()
+	res, err := RunContext(ctx, ds, Config{K: 3, L: 4, Seed: 1, Observer: cancelAtRefine{cancel}})
+	if res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("got (%v, %v), want (nil, context.Canceled)", res, err)
 	}
 }
 

@@ -96,17 +96,6 @@ type Config struct {
 	// clusters, and no outlier detection. It exists as an ablation
 	// baseline for the paper's §2.3 refinement phase.
 	SkipRefinement bool
-	// IncrementalEval selects the hill-climb evaluation engine; see the
-	// EvalMode constants. The default, EvalIncremental, maintains a
-	// per-restart point×medoid distance cache and reusable trial
-	// scratch so an iteration that swaps |bad| medoids costs
-	// O(N·|bad|) full-dimensional distances instead of O(N·k) and
-	// allocates nothing in steady state. EvalNaive recomputes every
-	// trial from scratch; it exists as an escape hatch and as the
-	// equivalence baseline — both engines produce bit-identical
-	// Results (only the distance-evaluation and cache counters
-	// differ).
-	IncrementalEval EvalMode
 
 	// Observer receives structured run events: run start/end, phase
 	// transitions, restart boundaries, hill-climbing iterations and
@@ -167,29 +156,6 @@ func (m InitMethod) String() string {
 		return "random"
 	}
 	return fmt.Sprintf("InitMethod(%d)", int(m))
-}
-
-// EvalMode selects the hill-climb evaluation engine.
-type EvalMode int
-
-const (
-	// EvalIncremental evaluates trials through the per-restart distance
-	// cache and reusable scratch (the default).
-	EvalIncremental EvalMode = iota
-	// EvalNaive recomputes every trial from scratch. Escape hatch and
-	// equivalence baseline for EvalIncremental.
-	EvalNaive
-)
-
-// String names the mode ("incremental", "naive") for logs and reports.
-func (m EvalMode) String() string {
-	switch m {
-	case EvalIncremental:
-		return "incremental"
-	case EvalNaive:
-		return "naive"
-	}
-	return fmt.Sprintf("EvalMode(%d)", int(m))
 }
 
 // AssignMetric selects the point-to-medoid distance.

@@ -65,7 +65,8 @@ func assertIdenticalResults(t *testing.T, inc, naive *Result, context string) {
 
 // TestIncrementalNaiveEquivalence is the cached-vs-naive metamorphic
 // guarantee over randomized datasets and configurations: for any
-// input, IncrementalEval on and off must produce identical Results.
+// input, the incremental engine and the naive reference must produce
+// identical Results.
 func TestIncrementalNaiveEquivalence(t *testing.T) {
 	rng := randx.New(99)
 	for trial := 0; trial < 8; trial++ {
@@ -92,15 +93,11 @@ func TestIncrementalNaiveEquivalence(t *testing.T) {
 		}
 		context := fmt.Sprintf("trial %d (n=%d dims=%d k=%d l=%d cfg=%+v)", trial, n, dims, k, l, cfg)
 
-		incCfg := cfg
-		incCfg.IncrementalEval = EvalIncremental
-		inc, err := Run(ds, incCfg)
+		inc, err := Run(ds, cfg)
 		if err != nil {
 			t.Fatalf("%s: incremental: %v", context, err)
 		}
-		naiveCfg := cfg
-		naiveCfg.IncrementalEval = EvalNaive
-		naive, err := Run(ds, naiveCfg)
+		naive, err := runNaive(ds, cfg)
 		if err != nil {
 			t.Fatalf("%s: naive: %v", context, err)
 		}

@@ -13,7 +13,8 @@ import (
 
 func newRunner(ds *dataset.Dataset, cfg Config) *runner {
 	cfg = cfg.withDefaults()
-	return &runner{ds: ds, cfg: cfg, rng: randx.New(cfg.Seed), innerWorkers: cfg.Workers}
+	return &runner{src: dataset.NewMemorySource(ds, ds.Len()), ds: ds, cfg: cfg,
+		rng: randx.New(cfg.Seed), innerWorkers: cfg.Workers}
 }
 
 func gridDataset() *dataset.Dataset {

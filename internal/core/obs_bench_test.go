@@ -37,7 +37,8 @@ func benchAssignSetup(b *testing.B, observer obs.Observer) (*runner, []int, [][]
 }
 
 // BenchmarkAssignNoop measures the instrumented assignment pass with no
-// observer attached: counters on, events off. This is the default
+// observer attached: counters on, events off. assignPoints is the test
+// reference's full pass over the production assignChunk, the default
 // production path.
 func BenchmarkAssignNoop(b *testing.B) {
 	r, medoids, dims := benchAssignSetup(b, nil)
@@ -72,8 +73,8 @@ func BenchmarkAssignRaw(b *testing.B) {
 	}
 }
 
-// rawAssignPoints replicates assignPoints exactly, with the counter
-// adds removed. Keeping everything else identical (allocations, metric
+// rawAssignPoints replicates assignPoints and its assignChunk, with the
+// counter adds removed. Keeping everything else identical (allocations, metric
 // closure, parallel.For) isolates the instrumentation cost.
 func rawAssignPoints(r *runner, medoids []int, dims [][]int) (assign []int, sizes []int) {
 	n := r.ds.Len()

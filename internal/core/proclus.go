@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,9 +24,13 @@ func Run(ds *dataset.Dataset, cfg Config) (*Result, error) {
 }
 
 // RunContext executes PROCLUS on ds, aborting between hill-climbing
-// trials when ctx is cancelled. The context is checked at trial
-// granularity — one trial over a large dataset completes before the
-// cancellation takes effect.
+// trials, or before the refinement pass, when ctx is cancelled. The
+// context is checked at trial granularity — one trial over a large
+// dataset completes before the cancellation takes effect.
+//
+// RunContext runs the same engine as RunStream, over a single zero-copy
+// block covering ds. Holding the points resident lets the hill climb
+// score every trial against the full dataset rather than the sample.
 func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
@@ -36,21 +39,73 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, 
 	if err := cfg.validate(ds); err != nil {
 		return nil, err
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		// A private registry keeps Stats.Metrics populated on every run;
-		// callers opt into sharing by passing their own.
-		reg = metrics.NewRegistry()
-	}
-	r := &runner{ctx: ctx, ds: ds, cfg: cfg, rng: randx.New(cfg.Seed),
-		obs: cfg.Observer, metrics: newRunnerMetrics(reg), series: newRunnerSeries(cfg.Series)}
-	return r.run()
+	return newEngine(ctx, dataset.NewMemorySource(ds, ds.Len()), ds, cfg).run()
 }
 
-// runner carries the state of one PROCLUS execution.
+// RunStream executes PROCLUS against a PointSource in bounded memory:
+// only the A·K-point initialization sample plus the source's block
+// buffers are ever resident, never the full point matrix. This is the
+// paper's own execution model (§3: every full-data stage is a single
+// pass over disk-resident data, while the hill climb works on the
+// in-memory sample):
+//
+//  1. One block pass collects the random sample; greedy farthest-first
+//     thins it to the candidate medoids.
+//  2. The hill-climb restarts run entirely on the resident sample —
+//     localities, dimension selection, assignment and objective are
+//     computed over sample points only.
+//  3. Refinement recomputes dimensions from the best sample clustering,
+//     then one block pass assigns every point (and flags outliers)
+//     while accumulating cluster centroids, and one more scores the
+//     final partition.
+//
+// The Result is a deterministic function of the point data and cfg
+// alone: any two sources presenting the same points — a MemorySource, a
+// FileSource over the written file, any block size, any Workers value —
+// yield bit-identical Results. It deliberately differs from Run, whose
+// hill climb scores trials against the full dataset (a luxury of having
+// the matrix resident); with InitRandom, candidates are likewise drawn
+// from the sample rather than the full dataset. Cluster medoid indices
+// refer to the full dataset, as do Assignments and Members.
+//
+// The context cancels between hill-climb trials and between blocks of
+// every pass. A source whose blocks are not contiguous from index 0 or
+// do not end at exactly Len() fails the run with an error. Stats gains
+// stream counters (blocks, bytes) and the registry a
+// proclus_stream_resident_points_peak gauge recording the
+// O(sample + block) residency bound.
+func RunStream(ctx context.Context, src PointSource, cfg Config) (*Result, error) {
+	if src == nil {
+		return nil, fmt.Errorf("proclus: nil point source")
+	}
+	cfg = cfg.withDefaults()
+	if err := cfg.validateShape(src.Len(), src.Dims()); err != nil {
+		return nil, err
+	}
+	return newEngine(ctx, src, nil, cfg).run()
+}
+
+// runner carries the state of one PROCLUS execution. One engine serves
+// both entry points: every full-data stage is a pass over src, and the
+// hill climb scores its trials against the scoring set ds.
 type runner struct {
-	ctx   context.Context
-	ds    *dataset.Dataset
+	ctx context.Context
+	// src is the full point set; every full-data pass sweeps it.
+	src PointSource
+	// ds is the scoring set, the points the hill climb evaluates trials
+	// against: the resident dataset on Run, the A·K sample on RunStream.
+	// Candidate and medoid indices refer to it.
+	ds *dataset.Dataset
+	// stream marks a run whose points are not resident. Its scoring set
+	// is the sample (toSource maps it back to source indices), and only
+	// it credits stream counters, emits per-block telemetry and echoes
+	// the stream parameters; resident reports carry none of them.
+	stream   bool
+	toSource []int
+	// maxBlockLen is the largest block a streamed pass delivered, the
+	// basis of the resident-peak gauge.
+	maxBlockLen int
+
 	cfg   Config
 	rng   *randx.Rand
 	stats Stats
@@ -62,6 +117,9 @@ type runner struct {
 	// GOMAXPROCS, which keeps white-box tests that construct runners
 	// directly on the old behaviour.
 	innerWorkers int
+	// makeEval builds each restart's trial evaluator; nil selects the
+	// incremental engine. Tests install the naive reference here.
+	makeEval func(*runner) evaluator
 	// obs receives structured events; nil disables emission.
 	obs obs.Observer
 	// counters accumulates hot-path work, batched per worker chunk so
@@ -73,6 +131,25 @@ type runner struct {
 	// series records per-iteration and per-block trajectories; nil —
 	// the default, recording is opt-in via Config.Series — disables it.
 	series *runnerSeries
+}
+
+// newEngine builds the runner for a validated cfg. resident is src's
+// point set when it is held in memory, and then becomes the scoring
+// set; nil marks a streamed run, whose scoring set initialize collects.
+func newEngine(ctx context.Context, src PointSource, resident *dataset.Dataset, cfg Config) *runner {
+	reg := cfg.Metrics
+	if reg == nil {
+		// A private registry keeps Stats.Metrics populated on every run;
+		// callers opt into sharing by passing their own.
+		reg = metrics.NewRegistry()
+	}
+	r := &runner{ctx: ctx, src: src, ds: resident, stream: resident == nil,
+		cfg: cfg, rng: randx.New(cfg.Seed), obs: cfg.Observer,
+		metrics: newRunnerMetrics(reg), series: newRunnerSeries(cfg.Series)}
+	if r.stream {
+		r.metrics.enableStream()
+	}
+	return r
 }
 
 // emit forwards an event to the attached observer. The nil check is
@@ -101,11 +178,12 @@ func (r *runner) cancelled() error {
 }
 
 func (r *runner) run() (*Result, error) {
-	r.stats.DatasetPoints = r.ds.Len()
-	r.stats.DatasetDims = r.ds.Dims()
+	n, d := r.src.Len(), r.src.Dims()
+	r.stats.DatasetPoints = n
+	r.stats.DatasetDims = d
 	runStart := time.Now()
-	r.emit(obs.Event{Type: obs.EvRunStart, Points: r.ds.Len(), Dims: r.ds.Dims()})
-	r.metrics.observeRunStart(r.ds.Len(), r.ds.Dims())
+	r.emit(obs.Event{Type: obs.EvRunStart, Points: n, Dims: d})
+	r.metrics.observeRunStart(n, d)
 
 	workers := parallel.Workers(r.cfg.Workers)
 
@@ -130,12 +208,9 @@ func (r *runner) run() (*Result, error) {
 	r.emit(obs.Event{Type: obs.EvPhaseStart, Phase: "refine"})
 	start = time.Now()
 	r.innerWorkers = workers
-	var res *Result
-	if r.cfg.SkipRefinement {
-		res = r.packageResult(best.medoids, best.dims, append([]int(nil), best.assign...))
-		res.Objective = best.objective
-	} else {
-		res = r.refine(best)
+	res, err := r.refine(best)
+	if err != nil {
+		return nil, err
 	}
 	r.stats.RefineDuration = time.Since(start)
 	r.emit(obs.Event{Type: obs.EvPhaseEnd, Phase: "refine", Seconds: r.stats.RefineDuration.Seconds()})
@@ -144,6 +219,16 @@ func (r *runner) run() (*Result, error) {
 	res.Iterations = totalIterations
 	res.Seed = r.cfg.Seed
 	res.Config = r.cfg.reportConfig()
+	if r.stream {
+		res.Config.Stream = true
+		if bp, ok := r.src.(interface{ BlockPoints() int }); ok {
+			res.Config.BlockPoints = bp.BlockPoints()
+		}
+		// Peak resident point storage: the sample plus the two block
+		// buffers of the double-buffered reader — the promised
+		// O(sample + block).
+		r.metrics.observeStreamResidentPeak(r.ds.Len() + 2*r.maxBlockLen)
+	}
 	r.stats.Counters = r.counters.Snapshot()
 	r.metrics.observeObjective(res.Objective)
 	r.metrics.fold(&r.counters)
@@ -156,13 +241,12 @@ func (r *runner) run() (*Result, error) {
 	return res, nil
 }
 
-// iteratePhase runs the hill-climb restarts over r.ds and merges their
-// outcomes, covering the full iterative phase: event emission, restart
-// timing, the worker-budget split, and the deterministic best-trial
-// merge. It is shared by the in-memory engine (r.ds is the full
-// dataset) and the streamed engine (r.ds is the resident sample); in
-// both cases candidates index into r.ds. workers is the run's total
-// goroutine budget; r.innerWorkers is left at each restart's share.
+// iteratePhase runs the hill-climb restarts over the scoring set r.ds
+// and merges their outcomes, covering the full iterative phase: event
+// emission, restart timing, the worker-budget split, and the
+// deterministic best-trial merge. candidates index into r.ds. workers
+// is the run's total goroutine budget; r.innerWorkers is left at each
+// restart's share.
 func (r *runner) iteratePhase(candidates []int, workers int) (*trialState, int, error) {
 	r.emit(obs.Event{Type: obs.EvPhaseStart, Phase: "iterate"})
 	start := time.Now()
@@ -244,46 +328,107 @@ func (r *runner) iteratePhase(candidates []int, workers int) (*trialState, int, 
 	return best, totalIterations, nil
 }
 
-// initialize selects the B·k candidate medoids. The paper's method
-// (InitGreedy) draws an A·k random sample and thins it by farthest-first
-// traversal (§2.1, Figure 3); InitRandom draws candidates uniformly.
-// The returned indices refer to the full dataset.
+// initialize selects the B·k candidate medoids and returns their
+// scoring-set indices. The paper's method (InitGreedy) draws an A·k
+// random sample and thins it by farthest-first traversal (§2.1, Figure
+// 3); InitRandom draws candidates uniformly — from every point on a
+// resident run, which needs no sample, and from the sample on a
+// streamed run, whose scoring set the sample becomes. A resident run
+// reads the sample rows by index; a streamed run collects them in one
+// pass.
 func (r *runner) initialize() ([]int, error) {
-	n := r.ds.Len()
+	n := r.src.Len()
 	medoidCount := r.cfg.MedoidFactor * r.cfg.K
-	if medoidCount > n {
-		medoidCount = n
-	}
-	if r.cfg.InitMethod == InitRandom {
-		cands, err := sample.WithoutReplacement(r.rng, n, medoidCount)
-		if err != nil {
-			return nil, fmt.Errorf("proclus: random candidate selection: %w", err)
-		}
-		return cands, nil
+	if r.cfg.InitMethod == InitRandom && !r.stream {
+		return randomCandidates(r.rng, n, medoidCount)
 	}
 	sampleSize := r.cfg.SampleFactor * r.cfg.K
 	if sampleSize > n {
 		sampleSize = n
 	}
-	s, err := sample.WithoutReplacement(r.rng, n, sampleSize)
+	sampleIdx, err := sample.WithoutReplacement(r.rng, n, sampleSize)
 	if err != nil {
 		return nil, fmt.Errorf("proclus: initialization sample: %w", err)
 	}
-	if medoidCount > len(s) {
-		medoidCount = len(s)
+	m := len(sampleIdx)
+	at := func(i int) []float64 { return r.ds.Point(sampleIdx[i]) }
+	if r.stream {
+		if r.ds, err = r.collectSample(sampleIdx); err != nil {
+			return nil, err
+		}
+		r.toSource = sampleIdx
+		at = r.ds.Point
 	}
-	picks, err := r.farthestFirst(len(s), medoidCount, func(i int) []float64 { return r.ds.Point(s[i]) })
+	if r.cfg.InitMethod == InitRandom {
+		return randomCandidates(r.rng, m, medoidCount)
+	}
+	if medoidCount > m {
+		medoidCount = m
+	}
+	picks, err := r.farthestFirst(m, medoidCount, at)
+	if err != nil || r.stream {
+		return picks, err
+	}
+	// The resident scoring set is the whole dataset: map the sample
+	// positions back to dataset indices.
+	for i, p := range picks {
+		picks[i] = sampleIdx[p]
+	}
+	return picks, nil
+}
+
+// randomCandidates draws count (at most n) distinct indices of [0, n).
+func randomCandidates(rng *randx.Rand, n, count int) ([]int, error) {
+	if count > n {
+		count = n
+	}
+	cands, err := sample.WithoutReplacement(rng, n, count)
+	if err != nil {
+		return nil, fmt.Errorf("proclus: random candidate selection: %w", err)
+	}
+	return cands, nil
+}
+
+// collectSample gathers the coordinates of the sampled points, in
+// sample order, in one block pass. Blocks arrive in ascending index
+// order, so a sorted view of the sample indices is consumed with a
+// single monotonic cursor — no per-point map lookup.
+func (r *runner) collectSample(idx []int) (*dataset.Dataset, error) {
+	d := r.src.Dims()
+	flat := make([]float64, len(idx)*d)
+	type pick struct{ idx, slot int }
+	sorted := make([]pick, len(idx))
+	for slot, p := range idx {
+		sorted[slot] = pick{idx: p, slot: slot}
+	}
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a].idx < sorted[b].idx })
+	cursor := 0
+	err := r.pass("sample", func(b *dataset.Block) error {
+		end := b.Start() + b.Len()
+		for cursor < len(sorted) && sorted[cursor].idx < end {
+			p := sorted[cursor]
+			copy(flat[p.slot*d:(p.slot+1)*d], b.Point(p.idx-b.Start()))
+			cursor++
+		}
+		r.counters.PointsScanned.Add(int64(b.Len()))
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	candidates := make([]int, len(picks))
-	for i, p := range picks {
-		candidates[i] = s[p]
+	smp, err := dataset.FromFlat(d, flat)
+	if err != nil {
+		return nil, err
 	}
-	return candidates, nil
+	// The streamed path validates what it holds resident; the full
+	// dataset is the source's responsibility.
+	if err := smp.Validate(); err != nil {
+		return nil, err
+	}
+	return smp, nil
 }
 
-// farthestFirst thins m points of r.ds, addressed by at, to count
+// farthestFirst thins m sample points, addressed by at, to count
 // candidate medoids by greedy farthest-first traversal over the
 // full-dimensional segmental distance (paper Figure 3). The traversal
 // tallies its evaluations per chunk, so the distance closure stays free
@@ -296,7 +441,7 @@ func (r *runner) farthestFirst(m, count int, at func(i int) []float64) ([]int, e
 		return nil, fmt.Errorf("proclus: greedy medoid selection: %w", err)
 	}
 	r.counters.DistanceEvals.Add(evals.Load())
-	r.counters.CoordsVisited.Add(evals.Load() * int64(r.ds.Dims()))
+	r.counters.CoordsVisited.Add(evals.Load() * int64(r.src.Dims()))
 	return picks, nil
 }
 
@@ -394,146 +539,13 @@ func (r *runner) climb(candidates []int, restart int, rng *randx.Rand) (*trialSt
 	return best, iterations, trace, nil
 }
 
-// evaluateMedoids runs one hill-climbing trial: localities, dimensions,
-// assignment and objective for the given medoid set.
-func (r *runner) evaluateMedoids(medoids []int) *trialState {
-	localities := r.computeLocalities(medoids)
-	dims := r.findDimensions(medoids, localities)
-	assign, sizes := r.assignPoints(medoids, dims)
-	objective := r.evaluateClusters(assign, sizes, dims)
-	return &trialState{
-		medoids:   append([]int(nil), medoids...),
-		dims:      dims,
-		assign:    assign,
-		sizes:     sizes,
-		objective: objective,
-	}
-}
-
-// computeLocalities returns, for each medoid, the indices of all points
-// within δ_i of it, where δ_i is the full-space segmental distance to
-// the nearest other medoid (paper §2.2, "Finding Dimensions"). The
-// localities may overlap and need not cover the dataset; each contains
-// at least its own medoid.
-func (r *runner) computeLocalities(medoids []int) [][]int {
-	k := len(medoids)
-	delta := make([]float64, k)
-	// Each δ_i is an independent minimum over the other medoids, so the
-	// rows parallelize with disjoint writes and worker-count-independent
-	// results.
-	fullDims := int64(r.ds.Dims())
-	parallel.For(k, r.innerWorkers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			delta[i] = math.Inf(1)
-			for j := range medoids {
-				if i == j {
-					continue
-				}
-				if d := dist.SegmentalAll(r.ds.Point(medoids[i]), r.ds.Point(medoids[j])); d < delta[i] {
-					delta[i] = d
-				}
-			}
-		}
-	})
-	pairs := int64(k) * int64(k-1)
-	r.counters.DistanceEvals.Add(pairs)
-	r.counters.CoordsVisited.Add(pairs * fullDims)
-	// Sharded scan: each worker fills per-chunk lists, concatenated in
-	// chunk order afterwards so the result is identical to a serial
-	// scan. Strict inequality keeps the nearest other medoid (at
-	// distance exactly δ_i) out of the locality; the medoid itself, at
-	// distance 0, is always in unless δ_i = 0 (duplicate medoids), which
-	// zRow tolerates as an empty group.
-	medoidPoints := make([][]float64, k)
-	for i, m := range medoids {
-		medoidPoints[i] = r.ds.Point(m)
-	}
-	n := r.ds.Len()
-	type chunk struct {
-		lo    int
-		lists [][]int
-	}
-	var mu sync.Mutex
-	var chunks []chunk
-	parallel.For(n, r.innerWorkers, func(lo, hi int) {
-		lists := make([][]int, k)
-		for p := lo; p < hi; p++ {
-			pt := r.ds.Point(p)
-			for i := range medoidPoints {
-				if dist.SegmentalAll(pt, medoidPoints[i]) < delta[i] {
-					lists[i] = append(lists[i], p)
-				}
-			}
-		}
-		// One batched add per chunk keeps the counters off the inner
-		// loop; the totals are exact and independent of Workers.
-		evals := int64(hi-lo) * int64(k)
-		r.counters.DistanceEvals.Add(evals)
-		r.counters.CoordsVisited.Add(evals * fullDims)
-		r.counters.PointsScanned.Add(int64(hi - lo))
-		mu.Lock()
-		chunks = append(chunks, chunk{lo: lo, lists: lists})
-		mu.Unlock()
-	})
-	sort.Slice(chunks, func(a, b int) bool { return chunks[a].lo < chunks[b].lo })
-	localities := make([][]int, k)
-	for _, c := range chunks {
-		for i := range localities {
-			localities[i] = append(localities[i], c.lists[i]...)
-		}
-	}
-	return localities
-}
-
-// assignPoints assigns every point to the medoid of minimum Manhattan
-// segmental distance relative to that medoid's dimension set (paper
-// Figure 5). Ties break toward the lower medoid index so the result is
-// deterministic. It returns the per-point cluster index and the cluster
-// sizes.
-func (r *runner) assignPoints(medoids []int, dims [][]int) (assign []int, sizes []int) {
-	medoidPoints := make([][]float64, len(medoids))
-	for i, m := range medoids {
-		medoidPoints[i] = r.ds.Point(m)
-	}
-	assign = make([]int, r.ds.Len())
-	sizes = make([]int, len(medoids))
-	r.assignPointsInto(medoidPoints, dims, r.pointMetric(), assign, sizes)
-	return assign, sizes
-}
-
-// assignPointsInto is assignPoints writing into caller-owned buffers
-// (len(assign) = N, len(sizes) = k); the incremental engine reuses
-// them — and a pre-built metric closure — across hill-climb
-// iterations.
-func (r *runner) assignPointsInto(medoidPoints [][]float64, dims [][]int,
-	metric func(pt, medoid []float64, dims []int) float64, assign, sizes []int) {
-	n := r.ds.Len()
-	passStart := time.Now()
-	parallel.For(n, r.innerWorkers, func(lo, hi int) {
-		r.assignChunk(medoidPoints, dims, metric, assign, lo, hi)
-	})
-	// One Rate observation per pass (two clock reads), far below the
-	// assignment path's ~2% overhead budget.
-	r.metrics.observeAssign(int64(n), time.Since(passStart).Seconds())
-	tallySizes(assign, sizes)
-}
-
-// assignChunk is one worker's share of the assignment pass: nearest
-// medoid for points [lo, hi), counters batched per chunk. It is shared
-// by the naive pass above and the incremental engine's prebuilt chunk
-// closure so the two can never drift.
+// assignChunk is one worker's share of a hill-climb assignment pass:
+// nearest medoid for scoring-set points [lo, hi), counters batched per
+// chunk.
 func (r *runner) assignChunk(medoidPoints [][]float64, dims [][]int,
 	metric func(pt, medoid []float64, dims []int) float64, assign []int, lo, hi int) {
 	for p := lo; p < hi; p++ {
-		pt := r.ds.Point(p)
-		bestIdx, bestDist := 0, math.Inf(1)
-		for i := range medoidPoints {
-			d := metric(pt, medoidPoints[i], dims[i])
-			if d < bestDist {
-				bestIdx, bestDist = i, d
-			}
-		}
-		assign[p] = bestIdx
+		assign[p] = nearestMedoid(r.ds.Point(p), medoidPoints, dims, metric)
 	}
 	evals := int64(hi-lo) * int64(len(medoidPoints))
 	r.counters.DistanceEvals.Add(evals)
@@ -564,22 +576,12 @@ func (r *runner) pointMetric() func(pt, medoid []float64, dims []int) float64 {
 	}
 }
 
-// evaluateClusters computes the paper's objective (Figure 6): the mean,
-// over all points, of the average distance along each cluster dimension
-// between the point and its cluster centroid.
-func (r *runner) evaluateClusters(assign []int, sizes []int, dims [][]int) float64 {
-	k := len(sizes)
-	d := r.ds.Dims()
-	centroids := make([][]float64, k)
-	for i := range centroids {
-		centroids[i] = make([]float64, d)
-	}
-	return r.evaluateClustersInto(assign, sizes, dims, centroids, make([]float64, k))
-}
-
-// evaluateClustersInto is evaluateClusters accumulating into
-// caller-owned buffers (k centroid rows of ds.Dims() each, k deviation
-// slots), which the incremental engine reuses across iterations.
+// evaluateClustersInto computes the paper's objective (Figure 6) over
+// the scoring set — the mean, over all points, of the average distance
+// along each cluster dimension between the point and its cluster
+// centroid — accumulating into caller-owned buffers (k centroid rows of
+// ds.Dims() each, k deviation slots) that the incremental engine reuses
+// across iterations.
 func (r *runner) evaluateClustersInto(assign []int, sizes []int, dims [][]int,
 	centroids [][]float64, devs []float64) float64 {
 	// This pass stays serial: floating-point accumulation order must not
@@ -684,46 +686,198 @@ func (r *runner) replaceBad(best *trialState, candidates []int, rng *randx.Rand)
 	return next, true
 }
 
-// refine performs the refinement phase (§2.3): recompute the dimension
-// sets from the best trial's clusters, reassign all points, and flag
-// outliers outside every medoid's sphere of influence.
-func (r *runner) refine(best *trialState) *Result {
+// refine performs the refinement phase (§2.3): dimension sets from the
+// best trial's clusters, then one fused pass over the source that
+// assigns every point, flags the outliers outside every medoid's sphere
+// of influence and sums the cluster centroids, then the final score.
+// SkipRefinement keeps the hill climb's dimension sets and skips outlier
+// detection and scoring; a resident run then also keeps the hill
+// climb's assignment, which already covers every point.
+//
+// Worker- and block-size-invariance: within a block, the assignment and
+// outlier decisions are data-parallel integer writes to disjoint assign
+// slots; every floating-point accumulation (centroid sums, deviations)
+// runs serially in global point order, because blocks arrive in order
+// and the serial loops walk each block in order.
+func (r *runner) refine(best *trialState) (*Result, error) {
 	k := len(best.medoids)
-
-	// Group member indices by cluster from the best iterative assignment.
-	clusters := make([][]int, k)
-	for p, a := range best.assign {
-		clusters[a] = append(clusters[a], p)
-	}
-	dims := r.findDimensions(best.medoids, clusters)
-
-	assign, _ := r.assignPoints(best.medoids, dims)
-
-	// Sphere of influence: a point is an outlier iff it lies outside
-	// every medoid's sphere (see sphereRadii).
 	medoidPoints := make([][]float64, k)
 	for i, m := range best.medoids {
 		medoidPoints[i] = r.ds.Point(m)
 	}
-	delta := r.sphereRadii(medoidPoints, dims)
-	parallel.For(r.ds.Len(), r.innerWorkers, func(lo, hi int) {
-		// The early break makes the per-point distance count
-		// data-dependent, so accumulate locally and add once per chunk.
-		// Each point's count is chunking-independent, so the total still
-		// matches a serial scan exactly.
-		var t evalTally
-		for p := lo; p < hi; p++ {
-			if outsideSpheres(r.ds.Point(p), medoidPoints, dims, delta, &t) {
-				assign[p] = OutlierID
-			}
+	dims := best.dims
+	var delta []float64 // spheres of influence; nil skips outlier detection
+	if !r.cfg.SkipRefinement {
+		clusters := make([][]int, k)
+		for p, a := range best.assign {
+			clusters[a] = append(clusters[a], p)
 		}
-		t.credit(&r.counters)
-		r.counters.PointsScanned.Add(int64(hi - lo))
-	})
+		dims = r.findDimensions(best.medoids, clusters)
+		delta = r.sphereRadii(medoidPoints, dims)
+	}
 
-	res := r.packageResult(best.medoids, dims, assign)
-	res.Objective = r.finalObjective(res)
-	return res
+	n, d := r.src.Len(), r.src.Dims()
+	keep := r.cfg.SkipRefinement && !r.stream
+	assign := make([]int, n)
+	if keep {
+		copy(assign, best.assign)
+	}
+	sums := make([][]float64, k)
+	for i := range sums {
+		sums[i] = make([]float64, d)
+	}
+	sizes := make([]int, k)
+	metric := r.pointMetric()
+	coords := dimsTotal(dims)
+	passStart := time.Now()
+	err := r.pass("assign", func(b *dataset.Block) error {
+		bn := b.Len()
+		if !keep {
+			parallel.For(bn, r.innerWorkers, func(lo, hi int) {
+				// The outlier test's early break makes the distance count
+				// data-dependent; accumulate locally and add once per
+				// chunk. Each point's count is chunking-independent, so
+				// the total still matches a serial scan exactly.
+				var t evalTally
+				for i := lo; i < hi; i++ {
+					pt := b.Point(i)
+					a := nearestMedoid(pt, medoidPoints, dims, metric)
+					t.evals += int64(k)
+					t.coords += coords
+					if delta != nil && outsideSpheres(pt, medoidPoints, dims, delta, &t) {
+						a = OutlierID
+					}
+					assign[b.Index(i)] = a
+				}
+				t.credit(&r.counters)
+				r.counters.PointsScanned.Add(int64(hi - lo))
+			})
+		}
+		for i := 0; i < bn; i++ {
+			a := assign[b.Index(i)]
+			if a == OutlierID {
+				continue
+			}
+			cs := sums[a]
+			for j, v := range b.Point(i) {
+				cs[j] += v
+			}
+			sizes[a]++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !keep {
+		r.metrics.observeAssign(int64(n), time.Since(passStart).Seconds())
+	}
+
+	res := &Result{Clusters: make([]Cluster, k), Assignments: assign}
+	members := make([][]int, k)
+	for i, size := range sizes {
+		if size > 0 {
+			members[i] = make([]int, 0, size)
+		}
+	}
+	for p, a := range assign {
+		if a != OutlierID {
+			members[a] = append(members[a], p)
+		}
+	}
+	for i := range res.Clusters {
+		centroid := sums[i]
+		if sizes[i] > 0 {
+			inv := 1 / float64(sizes[i])
+			for j := range centroid {
+				centroid[j] *= inv
+			}
+		} else {
+			centroid = append(centroid[:0], medoidPoints[i]...)
+		}
+		medoid := best.medoids[i]
+		if r.toSource != nil {
+			medoid = r.toSource[medoid]
+		}
+		res.Clusters[i] = Cluster{Medoid: medoid, Dimensions: dims[i],
+			Members: members[i], Centroid: centroid}
+	}
+
+	switch {
+	case r.cfg.SkipRefinement:
+		res.Objective = best.objective
+	case r.stream:
+		res.Objective, err = r.scorePass(res)
+	default:
+		res.Objective = r.scoreMembers(res)
+	}
+	return res, err
+}
+
+// nearestMedoid returns the position of the medoid nearest pt under
+// metric over each medoid's dimension set (paper Figure 5). Ties break
+// toward the lower position, so the result is deterministic.
+func nearestMedoid(pt []float64, medoidPoints [][]float64, dims [][]int,
+	metric func(pt, medoid []float64, dims []int) float64) int {
+	bestIdx, bestDist := 0, math.Inf(1)
+	for i := range medoidPoints {
+		if d := metric(pt, medoidPoints[i], dims[i]); d < bestDist {
+			bestIdx, bestDist = i, d
+		}
+	}
+	return bestIdx
+}
+
+// scorePass computes the final quality measure over the refined
+// partition in one more block pass, summing each cluster's deviations
+// in point order and then the per-cluster sums.
+func (r *runner) scorePass(res *Result) (float64, error) {
+	devs := make([]float64, len(res.Clusters))
+	err := r.pass("score", func(b *dataset.Block) error {
+		for i := 0; i < b.Len(); i++ {
+			a := res.Assignments[b.Index(i)]
+			if a == OutlierID {
+				continue
+			}
+			cl := &res.Clusters[a]
+			devs[a] += dist.Segmental(b.Point(i), cl.Centroid, cl.Dimensions)
+		}
+		r.counters.PointsScanned.Add(int64(b.Len()))
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	var total float64
+	points := 0
+	for i, cl := range res.Clusters {
+		total += devs[i]
+		points += len(cl.Members)
+	}
+	if points == 0 {
+		return 0, nil
+	}
+	return total / float64(points), nil
+}
+
+// scoreMembers is scorePass for a resident run: it reads the members
+// straight from the scoring set and keeps one running sum across
+// clusters. The two summation orders round differently, and each is
+// pinned by its own report golden.
+func (r *runner) scoreMembers(res *Result) float64 {
+	var total float64
+	points := 0
+	for _, cl := range res.Clusters {
+		for _, p := range cl.Members {
+			total += dist.Segmental(r.ds.Point(p), cl.Centroid, cl.Dimensions)
+		}
+		points += len(cl.Members)
+	}
+	r.counters.PointsScanned.Add(int64(len(res.Assignments)))
+	if points == 0 {
+		return 0
+	}
+	return total / float64(points)
 }
 
 // sphereRadii returns each medoid's sphere of influence Δ_i: the
@@ -785,60 +939,4 @@ func dimsTotal(dims [][]int) int64 {
 		t += int64(len(d))
 	}
 	return t
-}
-
-// packageResult assembles a Result from a medoid set, per-medoid
-// dimension sets and an assignment vector (which may contain OutlierID
-// entries).
-func (r *runner) packageResult(medoids []int, dims [][]int, assign []int) *Result {
-	k := len(medoids)
-	res := &Result{
-		Clusters:    make([]Cluster, k),
-		Assignments: assign,
-	}
-	members := make([][]int, k)
-	for p, a := range assign {
-		if a != OutlierID {
-			members[a] = append(members[a], p)
-		}
-	}
-	for i := 0; i < k; i++ {
-		cl := Cluster{
-			Medoid:     medoids[i],
-			Dimensions: dims[i],
-			Members:    members[i],
-		}
-		if len(members[i]) > 0 {
-			cl.Centroid = r.ds.Centroid(members[i])
-		} else {
-			cl.Centroid = append([]float64(nil), r.ds.Point(medoids[i])...)
-		}
-		res.Clusters[i] = cl
-	}
-	return res
-}
-
-// finalObjective recomputes the quality measure over the refined
-// partition, ignoring outliers.
-func (r *runner) finalObjective(res *Result) float64 {
-	var total float64
-	points := 0
-	for _, cl := range res.Clusters {
-		if len(cl.Members) == 0 {
-			continue
-		}
-		for _, p := range cl.Members {
-			pt := r.ds.Point(p)
-			var s float64
-			for _, j := range cl.Dimensions {
-				s += math.Abs(pt[j] - cl.Centroid[j])
-			}
-			total += s / float64(len(cl.Dimensions))
-		}
-		points += len(cl.Members)
-	}
-	if points == 0 {
-		return 0
-	}
-	return total / float64(points)
 }

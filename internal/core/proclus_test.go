@@ -365,7 +365,10 @@ func TestRefineOutlierCriterion(t *testing.T) {
 	assign[20] = 0
 	assign[21] = 1
 	best := &trialState{medoids: []int{0, 10}, assign: assign}
-	res := r.refine(best)
+	res, err := r.refine(best)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if res.Assignments[21] != OutlierID {
 		t.Fatal("far point not flagged as outlier")

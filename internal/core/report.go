@@ -19,7 +19,6 @@ type ConfigReport struct {
 	Workers        int     `json:"workers"`
 	InitMethod     string  `json:"init_method"`
 	AssignMetric   string  `json:"assign_metric"`
-	EvalMode       string  `json:"eval_mode"`
 	SkipRefinement bool    `json:"skip_refinement,omitempty"`
 	// Stream and BlockPoints echo the out-of-core execution parameters
 	// when the run came through RunStream; both stay zero (and absent
@@ -43,7 +42,6 @@ func (cfg Config) reportConfig() ConfigReport {
 		Workers:        cfg.Workers,
 		InitMethod:     cfg.InitMethod.String(),
 		AssignMetric:   cfg.AssignMetric.String(),
-		EvalMode:       cfg.IncrementalEval.String(),
 		SkipRefinement: cfg.SkipRefinement,
 	}
 }

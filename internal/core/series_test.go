@@ -156,7 +156,7 @@ func TestSeriesPerRestartLabels(t *testing.T) {
 
 // TestStreamSeriesRecordsBlocks checks the streamed engine's per-block
 // telemetry: every streamed pass records latency and throughput series,
-// and the in-memory engine records none of them.
+// and in-memory runs record none of them.
 func TestStreamSeriesRecordsBlocks(t *testing.T) {
 	ds := streamEquivalenceData(t)
 	cfg := Config{K: 3, L: 3, Seed: 13, Series: series.NewStore(0)}

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,29 +70,37 @@ func TestStreamingInMemoryEquivalence(t *testing.T) {
 	path := streamTestFile(t, ds)
 	n := ds.Len()
 
-	configs := map[string]Config{
-		"default":      {K: 3, L: 3, Seed: 13},
-		"random-init":  {K: 4, L: 4, Seed: 7, Restarts: 3, InitMethod: InitRandom},
-		"skip-refine":  {K: 3, L: 3, Seed: 99, SkipRefinement: true},
-		"naive-manhat": {K: 3, L: 4, Seed: 5, AssignMetric: MetricManhattan, IncrementalEval: EvalNaive},
+	configs := map[string]struct {
+		cfg Config
+		// makeEval, when set, replaces the incremental evaluator.
+		makeEval func(*runner) evaluator
+	}{
+		"default":      {cfg: Config{K: 3, L: 3, Seed: 13}},
+		"random-init":  {cfg: Config{K: 4, L: 4, Seed: 7, Restarts: 3, InitMethod: InitRandom}},
+		"skip-refine":  {cfg: Config{K: 3, L: 3, Seed: 99, SkipRefinement: true}},
+		"naive-manhat": {cfg: Config{K: 3, L: 4, Seed: 5, AssignMetric: MetricManhattan}, makeEval: newNaiveEval},
 	}
 	blockSizes := []int{1, 19, 256, n}
 	workerCounts := []int{1, 4}
 
-	for name, cfg := range configs {
+	for name, tc := range configs {
 		t.Run(name, func(t *testing.T) {
-			refCfg := cfg
-			refCfg.Workers = 1
-			ref, err := RunStream(context.Background(), dataset.NewMemorySource(ds, 0), refCfg)
+			runStream := func(src PointSource, workers int) (*Result, error) {
+				c := tc.cfg
+				c.Workers = workers
+				if tc.makeEval == nil {
+					return RunStream(context.Background(), src, c)
+				}
+				return runWithEval(src, nil, c, tc.makeEval)
+			}
+			ref, err := runStream(dataset.NewMemorySource(ds, 0), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			normalizeStreamed(ref)
 			check := func(label string, src PointSource, workers int) {
 				t.Helper()
-				c := cfg
-				c.Workers = workers
-				got, err := RunStream(context.Background(), src, c)
+				got, err := runStream(src, workers)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -327,5 +336,78 @@ func TestStreamMedoidIndicesReferToDataset(t *testing.T) {
 			}
 			prev = m
 		}
+	}
+}
+
+// truncatingSource serves the whole point set on its first pass and
+// only the first block on every later pass, like a file cut short
+// between passes.
+type truncatingSource struct {
+	PointSource
+	passes int
+}
+
+func (s *truncatingSource) Blocks(ctx context.Context, fn func(*dataset.Block) error) error {
+	s.passes++
+	delivered := 0
+	return s.PointSource.Blocks(ctx, func(b *dataset.Block) error {
+		if s.passes > 1 && delivered > 0 {
+			return nil
+		}
+		delivered++
+		return fn(b)
+	})
+}
+
+// shortSource reports fewer points than its blocks deliver.
+type shortSource struct {
+	PointSource
+	n int
+}
+
+func (s shortSource) Len() int { return s.n }
+
+// TestStreamSourceContract pins the block contract every pass enforces:
+// blocks must be contiguous from index 0 and end at exactly Len(). A
+// source that breaks it fails the run with a proclus error — never a
+// silently partial assignment, never a panic.
+func TestStreamSourceContract(t *testing.T) {
+	ds, _, err := synth.Generate(synth.Config{
+		N: 2000, Dims: 10, K: 3, FixedDims: 3, MinSizeFraction: 0.15, Seed: 83,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		src  PointSource
+	}{
+		{"later passes stop after one block", &truncatingSource{PointSource: dataset.NewMemorySource(ds, 256)}},
+		{"Len below the delivered points", shortSource{PointSource: dataset.NewMemorySource(ds, 256), n: 1500}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				res *Result
+				err error
+			)
+			func() {
+				defer func() {
+					if v := recover(); v != nil {
+						t.Fatalf("RunStream panicked: %v", v)
+					}
+				}()
+				res, err = RunStream(context.Background(), tc.src, Config{K: 3, L: 3, Seed: 13})
+			}()
+			if err == nil {
+				t.Fatalf("RunStream accepted a source breaking the block contract (%d assignments)", len(res.Assignments))
+			}
+			if res != nil {
+				t.Fatal("failed run returned a result")
+			}
+			if !strings.HasPrefix(err.Error(), "proclus: ") {
+				t.Fatalf("error %q lacks the proclus: prefix", err)
+			}
+		})
 	}
 }

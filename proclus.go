@@ -277,17 +277,6 @@ const (
 	MetricManhattan = core.MetricManhattan
 )
 
-// EvalMode selects the hill-climb evaluation engine.
-type EvalMode = core.EvalMode
-
-// Evaluation engines: the incremental distance-cache engine (default),
-// or naive from-scratch re-evaluation (escape hatch and equivalence
-// baseline). Both produce bit-identical Results.
-const (
-	EvalIncremental = core.EvalIncremental
-	EvalNaive       = core.EvalNaive
-)
-
 // Run executes PROCLUS on ds.
 func Run(ds *Dataset, cfg Config) (*Result, error) { return core.Run(ds, cfg) }
 

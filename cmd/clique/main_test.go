@@ -1,15 +1,23 @@
+// The clique command is now `pcluster -algo clique`. These tests keep its
+// checks and run them against the pcluster binary.
 package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"proclus/cmd/internal/pclustertest"
 	"proclus/internal/dataset"
 	"proclus/internal/randx"
 )
+
+func TestMain(m *testing.M) { os.Exit(pclustertest.Main(m)) }
+
+func run(args []string, out io.Writer) error { return pclustertest.Run("clique", args, out) }
 
 func writeBlobData(t *testing.T) string {
 	t.Helper()
@@ -38,7 +46,7 @@ func TestRunReportsClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sb.String()
-	for _, want := range []string{"CLIQUE:", "dense units", "clusters reported:", "average overlap:", "coverage:"} {
+	for _, want := range []string{"clique:", "dense units", "clusters:", "average overlap:", "coverage:"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}
@@ -160,7 +168,7 @@ func TestRunStreamed(t *testing.T) {
 	}
 	got := str.String()
 	for _, want := range []string{
-		"CLIQUE (streamed, 128-point blocks):",
+		"clique (streamed, 128-point blocks):",
 		"overlap/coverage: skipped",
 	} {
 		if !strings.Contains(got, want) {
@@ -169,7 +177,7 @@ func TestRunStreamed(t *testing.T) {
 	}
 	// The lattice summary is bit-identical to the in-memory run.
 	for _, line := range strings.Split(mem.String(), "\n") {
-		if strings.HasPrefix(line, "dense units") || strings.HasPrefix(line, "clusters reported:") {
+		if strings.HasPrefix(line, "dense units") || strings.HasPrefix(line, "clusters:") {
 			if !strings.Contains(got, line) {
 				t.Fatalf("streamed run diverged from in-memory: missing %q\n%s", line, got)
 			}

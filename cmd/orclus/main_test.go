@@ -1,14 +1,22 @@
+// The orclus command is now `pcluster -algo orclus`. These tests keep its
+// checks and run them against the pcluster binary.
 package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"proclus/cmd/internal/pclustertest"
 	"proclus/internal/synth"
 )
+
+func TestMain(m *testing.M) { os.Exit(pclustertest.Main(m)) }
+
+func run(args []string, out io.Writer) error { return pclustertest.Run("orclus", args, out) }
 
 func writeOrientedData(t *testing.T) string {
 	t.Helper()
@@ -32,7 +40,7 @@ func TestRunClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sb.String()
-	for _, want := range []string{"ORCLUS:", "projected energy", "cluster 1:", "ARI", "NMI"} {
+	for _, want := range []string{"orclus:", "projected energy", "cluster   1: energy", "ARI", "NMI"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}

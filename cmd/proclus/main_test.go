@@ -1,17 +1,26 @@
+// The proclus command is now `pcluster -algo proclus`. These tests keep
+// its checks and run them against the pcluster binary; -normalize and
+// the range parser are tested in pcluster's own package.
 package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"proclus/cmd/internal/pclustertest"
 	"proclus/internal/core"
 	"proclus/internal/obs/metrics"
 	"proclus/internal/obs/series"
 	"proclus/internal/synth"
 )
+
+func TestMain(m *testing.M) { os.Exit(pclustertest.Main(m)) }
+
+func run(args []string, out io.Writer) error { return pclustertest.Run("proclus", args, out) }
 
 // writeWorkload generates a small labeled binary dataset and returns its
 // path.
@@ -37,7 +46,7 @@ func TestRunClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sb.String()
-	for _, want := range []string{"PROCLUS:", "objective", "Cluster", "Outliers", "confusion matrix", "purity:", "ARI:", "NMI:"} {
+	for _, want := range []string{"proclus:", "objective", "dimensions (1-based)", "Outliers", "confusion matrix", "purity:", "ARI:", "NMI:"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}
@@ -76,23 +85,6 @@ func TestRunSweep(t *testing.T) {
 	}
 }
 
-func TestRunNormalize(t *testing.T) {
-	path := writeWorkload(t)
-	for _, mode := range []string{"minmax", "zscore"} {
-		var sb strings.Builder
-		if err := run([]string{"-in", path, "-k", "2", "-l", "3", "-normalize", mode}, &sb); err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		if !strings.Contains(sb.String(), "PROCLUS:") {
-			t.Fatalf("%s: output missing header", mode)
-		}
-	}
-	var sb strings.Builder
-	if err := run([]string{"-in", path, "-k", "2", "-l", "3", "-normalize", "nope"}, &sb); err == nil {
-		t.Fatal("unknown normalize mode accepted")
-	}
-}
-
 func TestRunSweepK(t *testing.T) {
 	path := writeWorkload(t)
 	var sb strings.Builder
@@ -124,17 +116,6 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-in", path, "-k", "2", "-sweepl", "5:2"}, &sb); err == nil {
 		t.Error("inverted sweep range accepted")
-	}
-}
-
-func TestParseRange(t *testing.T) {
-	if lo, hi, err := parseRange("2:7"); err != nil || lo != 2 || hi != 7 {
-		t.Fatalf("parseRange: %d %d %v", lo, hi, err)
-	}
-	for _, bad := range []string{"", "3", "a:b", "2:"} {
-		if _, _, err := parseRange(bad); err == nil {
-			t.Errorf("parseRange(%q) accepted", bad)
-		}
 	}
 }
 
@@ -247,7 +228,7 @@ func TestRunProgressLogs(t *testing.T) {
 	if err := run([]string{"-in", path, "-k", "2", "-l", "3", "-progress"}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "PROCLUS:") {
+	if !strings.Contains(sb.String(), "proclus:") {
 		t.Fatalf("output missing header:\n%s", sb.String())
 	}
 }
@@ -269,7 +250,7 @@ func TestRunMetricsAddrInvariant(t *testing.T) {
 		lines := strings.Split(s, "\n")
 		out := lines[:0]
 		for _, l := range lines {
-			if strings.HasPrefix(l, "PROCLUS:") {
+			if strings.HasPrefix(l, "proclus:") {
 				// The header embeds the elapsed wall time.
 				l = l[:strings.LastIndex(l, "—")]
 			}
@@ -316,8 +297,8 @@ func TestRunStreamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sb.String()
-	for _, want := range []string{"PROCLUS (streamed, 256-point blocks):", "objective",
-		"Cluster", "Outliers", "confusion matrix", "purity:", "ARI:", "NMI:"} {
+	for _, want := range []string{"proclus (streamed, 256-point blocks):", "objective",
+		"dimensions (1-based)", "Outliers", "confusion matrix", "purity:", "ARI:", "NMI:"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}

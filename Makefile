@@ -140,9 +140,13 @@ lens-golden:
 # dataset: two identical-seed runs must archive and diff clean (exit
 # 0 — the deterministic counters reproduce exactly), and a third run
 # with a perturbed configuration must make `runlens diff` exit
-# non-zero. Also exercises `runlens ls` and `runlens trend` over the
-# same archive.
+# non-zero. The streamed leg repeats this for out-of-core runs: two
+# -stream runs at the same block size diff clean, and a third at half
+# the block size — same clustering, twice the stream blocks — must
+# make diff exit non-zero. Also exercises `runlens ls` and
+# `runlens trend` over the same archive.
 ARCHIVE_SMOKE = archive/smoke
+STREAM_SMOKE  = -algo proclus -stream -in $(ARCHIVE_SMOKE)-data.bin -k 3 -l 4 -seed 5 -archive $(ARCHIVE_SMOKE)
 
 archive-smoke:
 	rm -rf $(ARCHIVE_SMOKE)
@@ -158,6 +162,16 @@ archive-smoke:
 		exit 1; \
 	else \
 		echo "archive-smoke: perturbed-config diff correctly non-zero"; \
+	fi
+	$(GO) run ./cmd/pcluster $(STREAM_SMOKE) -block-points 500
+	$(GO) run ./cmd/pcluster $(STREAM_SMOKE) -block-points 500
+	$(GO) run ./cmd/runlens diff -archive $(ARCHIVE_SMOKE) @1 @0
+	$(GO) run ./cmd/pcluster $(STREAM_SMOKE) -block-points 250
+	@if $(GO) run ./cmd/runlens diff -archive $(ARCHIVE_SMOKE) @1 @0 >/dev/null 2>&1; then \
+		echo "archive-smoke: stream block-count diff exited 0, want non-zero" >&2; \
+		exit 1; \
+	else \
+		echo "archive-smoke: stream block-count diff correctly non-zero"; \
 	fi
 	$(GO) run ./cmd/runlens trend -archive $(ARCHIVE_SMOKE)
 	rm -rf $(ARCHIVE_SMOKE) $(ARCHIVE_SMOKE)-data.bin

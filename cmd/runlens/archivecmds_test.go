@@ -123,6 +123,37 @@ func TestDiffDetectsCounterAndQualityDeltas(t *testing.T) {
 	}
 }
 
+// TestDiffDetectsStreamBlockDelta archives two streamed runs that
+// differ only in how many blocks their passes delivered (a block-size
+// change): diff must exit non-zero on the stream counters.
+func TestDiffDetectsStreamBlockDelta(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "runs")
+	st, err := archive.Open(dir, archive.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, blocks := range []int64{36, 144} {
+		rep := &obs.RunReport{Algorithm: "proclus", Seed: 7, Objective: 12.5,
+			Dataset: obs.DatasetInfo{Points: 6000, Dims: 12}}
+		rep.Counters.DistanceEvals = 85813
+		rep.Counters.PointsScanned = 45360
+		rep.Counters.StreamBlocks = blocks
+		rep.Counters.StreamBytes = 1728000
+		run := archive.FromReport(rep)
+		run.CreatedAt = time.Date(2026, 8, 8, 12, 0, i, 0, time.UTC)
+		if _, err := st.SaveRun(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"diff", "-archive", dir, "@1", "@0"}, &buf); err == nil {
+		t.Fatalf("runs differing 4x in stream blocks diffed clean:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), "counters/stream_blocks") {
+		t.Errorf("diff output missing counters/stream_blocks:\n%s", buf.String())
+	}
+}
+
 func TestDiffRefResolution(t *testing.T) {
 	dir := buildArchive(t)
 	if err := run([]string{"diff", "-archive", dir, "@9", "@0"}, &bytes.Buffer{}); err == nil {

@@ -8,9 +8,9 @@
 //     they move with machine load, CPU frequency and cache state — so
 //     they use the wide Options.TimeThreshold and ignore measurements
 //     below Options.MinSeconds entirely;
-//   - work metrics (distance evaluations, points scanned, dense-unit
-//     probes, run counts) are deterministic for a fixed seed, so they
-//     use the tight Options.WorkThreshold.
+//   - work metrics (run counts and every obs.Counter: distance
+//     evaluations, points scanned, stream blocks, …) are deterministic
+//     for a fixed seed, so they use the tight Options.WorkThreshold.
 package benchcmp
 
 import (
@@ -299,18 +299,10 @@ func compareRecord(rep *Report, base, cand Record, opts Options) {
 			base.PhaseSeconds[phase], cand.PhaseSeconds[phase], opts.TimeThreshold)
 	}
 	classify("runs", "work", float64(base.Runs), float64(cand.Runs), opts.WorkThreshold)
-	classify("counters/distance_evals", "work",
-		float64(base.Counters.DistanceEvals), float64(cand.Counters.DistanceEvals), opts.WorkThreshold)
-	classify("counters/coords_visited", "work",
-		float64(base.Counters.CoordsVisited), float64(cand.Counters.CoordsVisited), opts.WorkThreshold)
-	classify("counters/points_scanned", "work",
-		float64(base.Counters.PointsScanned), float64(cand.Counters.PointsScanned), opts.WorkThreshold)
-	classify("counters/dense_unit_probes", "work",
-		float64(base.Counters.DenseUnitProbes), float64(cand.Counters.DenseUnitProbes), opts.WorkThreshold)
-	classify("counters/distcache_hits", "work",
-		float64(base.Counters.DistCacheHits), float64(cand.Counters.DistCacheHits), opts.WorkThreshold)
-	classify("counters/distcache_recomputes", "work",
-		float64(base.Counters.DistCacheRecomputes), float64(cand.Counters.DistCacheRecomputes), opts.WorkThreshold)
+	for c := obs.Counter(0); c < obs.NumCounters; c++ {
+		classify("counters/"+c.Name(), "work",
+			float64(base.Counters.Get(c)), float64(cand.Counters.Get(c)), opts.WorkThreshold)
+	}
 
 	// Quality indices invert the regression sense: a drop beyond
 	// threshold regresses, a rise improves. Keys present on only one

@@ -132,6 +132,37 @@ func TestCompareFlagsDistCacheCounters(t *testing.T) {
 	}
 }
 
+// TestCompareGatesEveryCounter moves each work counter 4× on its own
+// and expects exactly that counter flagged, so no counter — the stream
+// ones included — can drift past the gate unseen.
+func TestCompareGatesEveryCounter(t *testing.T) {
+	cases := []struct {
+		metric string
+		field  func(*obs.Snapshot) *int64
+	}{
+		{"counters/distance_evals", func(s *obs.Snapshot) *int64 { return &s.DistanceEvals }},
+		{"counters/coords_visited", func(s *obs.Snapshot) *int64 { return &s.CoordsVisited }},
+		{"counters/points_scanned", func(s *obs.Snapshot) *int64 { return &s.PointsScanned }},
+		{"counters/dense_unit_probes", func(s *obs.Snapshot) *int64 { return &s.DenseUnitProbes }},
+		{"counters/distcache_hits", func(s *obs.Snapshot) *int64 { return &s.DistCacheHits }},
+		{"counters/distcache_recomputes", func(s *obs.Snapshot) *int64 { return &s.DistCacheRecomputes }},
+		{"counters/stream_blocks", func(s *obs.Snapshot) *int64 { return &s.StreamBlocks }},
+		{"counters/stream_bytes", func(s *obs.Snapshot) *int64 { return &s.StreamBytes }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.metric, func(t *testing.T) {
+			base, cand := fixtureFile().Records[0], fixtureFile().Records[0]
+			*tc.field(&base.Counters) = 1000
+			*tc.field(&cand.Counters) = 4000
+			rep := CompareRecords(base, cand, Options{})
+			if len(rep.Regressions) != 1 || rep.Regressions[0].Metric != tc.metric ||
+				rep.Regressions[0].Kind != "work" {
+				t.Fatalf("4× %s: regressions %+v", tc.metric, rep.Regressions)
+			}
+		})
+	}
+}
+
 func TestCompareFlagsImprovement(t *testing.T) {
 	base := fixtureFile()
 	cand := fixtureFile()

@@ -265,13 +265,13 @@ func run(ctx context.Context, src PointSource, cfg Config, stream bool) (*Result
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	m := newSearcherMetrics(reg)
+	work := obs.NewCounterSeries(reg, "clique", obs.PointsScanned, obs.DenseUnitProbes)
 	if stream {
-		m.enableStream()
+		work.EnableStream("peak resident point storage of the streamed passes (block buffers)")
 	}
 	s := &searcher{ctx: ctx, src: src, n: src.Len(), d: src.Dims(), cfg: cfg,
-		minCount: minCount, stream: stream, obs: cfg.Observer, metrics: m,
-		series: newSearcherSeries(cfg.Series)}
+		minCount: minCount, stream: stream, obs: cfg.Observer,
+		metrics: newSearcherMetrics(reg), work: work, series: newSearcherSeries(cfg.Series)}
 	res, err := s.run()
 	if err != nil {
 		return nil, err
@@ -310,9 +310,11 @@ type searcher struct {
 	// counters accumulates hot-path work, batched per pass so it stays
 	// cheap enough to keep always on.
 	counters obs.Counters
-	// metrics records quantitative telemetry at phase/level boundaries;
-	// nil (white-box tests) disables recording.
+	// metrics records quantitative telemetry at phase/level boundaries,
+	// and work mirrors counters into the same registry; nil (white-box
+	// tests) disables recording.
 	metrics *searcherMetrics
+	work    *obs.CounterSeries
 	// series records per-level and per-block trajectories; nil — the
 	// default, recording is opt-in via Config.Series — disables it.
 	series *searcherSeries
@@ -376,8 +378,8 @@ func (s *searcher) eachBlock(name string, fn func(b *dataset.Block) error) error
 	block := 0
 	return s.src.Blocks(s.ctx, func(b *dataset.Block) error {
 		if s.stream {
-			s.counters.StreamBlocks.Add(1)
-			s.counters.StreamBytes.Add(b.Bytes())
+			s.counters[obs.StreamBlocks].Add(1)
+			s.counters[obs.StreamBytes].Add(b.Bytes())
 		}
 		if l := b.Len(); l > s.maxBlockLen {
 			s.maxBlockLen = l
@@ -453,7 +455,7 @@ func (s *searcher) run() (*Result, error) {
 	s.emit(obs.Event{Type: obs.EvPhaseEnd, Phase: "histogram",
 		Dense: countUnits(cur), Seconds: s.stats.HistogramDuration.Seconds()})
 	s.metrics.observePhase("histogram", s.stats.HistogramDuration.Seconds())
-	s.metrics.fold(&s.counters)
+	s.work.Fold(&s.counters)
 
 	s.emit(obs.Event{Type: obs.EvPhaseStart, Phase: "search"})
 	start = time.Now()
@@ -491,7 +493,7 @@ func (s *searcher) run() (*Result, error) {
 			Candidates: nCands, Dense: n, Seconds: levelDur.Seconds()})
 		s.metrics.observeLevel(levelDur.Seconds(), nCands, n)
 		s.series.recordLevel(q, levelDur.Seconds(), nCands, n)
-		s.metrics.fold(&s.counters)
+		s.work.Fold(&s.counters)
 		if n == 0 {
 			break
 		}
@@ -555,10 +557,10 @@ func (s *searcher) run() (*Result, error) {
 	if s.stream {
 		// CLIQUE keeps no sample resident; the peak point storage is the
 		// source's double-buffered block pair.
-		s.metrics.observeStreamResidentPeak(2 * s.maxBlockLen)
+		s.work.ObserveResidentPeak(2 * s.maxBlockLen)
 	}
 	s.stats.Counters = s.counters.Snapshot()
-	s.metrics.fold(&s.counters)
+	s.work.Fold(&s.counters)
 	s.stats.Metrics = s.metrics.snapshot()
 	if s.cfg.Series != nil {
 		s.stats.Series = s.cfg.Series.Snapshot()
@@ -577,8 +579,8 @@ func (s *searcher) run() (*Result, error) {
 func (s *searcher) denseOneDim() (*level, error) {
 	d := s.d
 	// Each point lands in one 1-dimensional unit per dimension.
-	s.counters.PointsScanned.Add(int64(s.n))
-	s.counters.DenseUnitProbes.Add(int64(s.n) * int64(d))
+	s.counters[obs.PointsScanned].Add(int64(s.n))
+	s.counters[obs.DenseUnitProbes].Add(int64(s.n) * int64(d))
 	counts := make([][]int, d)
 	for j := range counts {
 		counts[j] = make([]int, s.cfg.Xi)
@@ -735,8 +737,8 @@ func (s *searcher) countPass(cands *level) error {
 	// is probed against every subspace exactly once regardless of how the
 	// work shards, so the totals stay independent of Workers and block
 	// size.
-	s.counters.PointsScanned.Add(int64(s.n))
-	s.counters.DenseUnitProbes.Add(int64(s.n) * int64(len(subspaces)))
+	s.counters[obs.PointsScanned].Add(int64(s.n))
+	s.counters[obs.DenseUnitProbes].Add(int64(s.n) * int64(len(subspaces)))
 	return s.eachBlock("count", func(b *dataset.Block) error {
 		parallel.For(len(subspaces), s.cfg.Workers, func(lo, hi int) {
 			shard := subspaces[lo:hi]
@@ -862,8 +864,8 @@ func (s *searcher) countClusterSizes(clusters []Cluster) error {
 	for _, ref := range bySub {
 		refs = append(refs, ref)
 	}
-	s.counters.PointsScanned.Add(int64(s.n))
-	s.counters.DenseUnitProbes.Add(int64(s.n) * int64(len(refs)))
+	s.counters[obs.PointsScanned].Add(int64(s.n))
+	s.counters[obs.DenseUnitProbes].Add(int64(s.n) * int64(len(refs)))
 	// Shard by subspace within each block: every cluster lives in exactly
 	// one subspace, so each worker increments a disjoint set of Size
 	// fields.

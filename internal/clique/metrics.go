@@ -1,28 +1,15 @@
 package clique
 
-import (
-	"sync"
+import "proclus/internal/obs/metrics"
 
-	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
-)
-
-// CLIQUE metric series names.
+// CLIQUE metric series names, besides the work-counter and stream
+// series of obs.CounterSeries.
 const (
 	MetricPhaseSeconds    = "clique_phase_seconds"
 	MetricLevelSeconds    = "clique_level_seconds"
 	MetricLevelDenseRatio = "clique_level_dense_ratio"
-	MetricPointsScanned   = "clique_points_scanned_total"
-	MetricDenseUnitProbes = "clique_dense_unit_probes_total"
 	MetricDatasetPoints   = "clique_dataset_points"
 	MetricDatasetDims     = "clique_dataset_dims"
-	// The stream series exist only on out-of-core runs (RunStream):
-	// blocks and bytes delivered by the block passes, and the peak
-	// number of points held resident at once (the source's block
-	// buffers — CLIQUE keeps no sample).
-	MetricStreamBlocks       = "clique_stream_blocks_total"
-	MetricStreamBytes        = "clique_stream_bytes_total"
-	MetricStreamResidentPeak = "clique_stream_resident_points_peak"
 )
 
 // searcherMetrics caches pre-resolved metric handles, mirroring the
@@ -34,21 +21,8 @@ type searcherMetrics struct {
 	phaseSeconds    map[string]*metrics.Histogram
 	levelSeconds    *metrics.Histogram
 	levelDenseRatio *metrics.Histogram
-	pointsScanned   *metrics.Gauge
-	denseUnitProbes *metrics.Gauge
 	datasetPoints   *metrics.Gauge
 	datasetDims     *metrics.Gauge
-
-	// Stream handles are registered lazily by enableStream: only
-	// out-of-core runs carry the series, so in-memory runs' registries
-	// (and their golden snapshots) are untouched. All three are nil —
-	// and their observation sites no-ops — otherwise.
-	streamBlocks       *metrics.Gauge
-	streamBytes        *metrics.Gauge
-	streamResidentPeak *metrics.Gauge
-
-	foldMu sync.Mutex
-	folded obs.Snapshot
 }
 
 func newSearcherMetrics(reg *metrics.Registry) *searcherMetrics {
@@ -64,34 +38,9 @@ func newSearcherMetrics(reg *metrics.Registry) *searcherMetrics {
 		"wall time of one lattice level in seconds")
 	m.levelDenseRatio = reg.Histogram(MetricLevelDenseRatio,
 		"dense units kept per candidate unit at one lattice level")
-	m.pointsScanned = reg.Counter(MetricPointsScanned,
-		"data-point visits by full-dataset passes")
-	m.denseUnitProbes = reg.Counter(MetricDenseUnitProbes,
-		"unit-membership lookups by counting passes")
 	m.datasetPoints = reg.Gauge(MetricDatasetPoints, "points in the current input")
 	m.datasetDims = reg.Gauge(MetricDatasetDims, "dimensionality of the current input")
 	return m
-}
-
-// enableStream registers the out-of-core series. RunStream enables it
-// before the first block pass.
-func (m *searcherMetrics) enableStream() {
-	if m == nil {
-		return
-	}
-	m.streamBlocks = m.reg.Counter(MetricStreamBlocks,
-		"blocks delivered by out-of-core point-source passes")
-	m.streamBytes = m.reg.Counter(MetricStreamBytes,
-		"encoded point bytes delivered by out-of-core passes")
-	m.streamResidentPeak = m.reg.Gauge(MetricStreamResidentPeak,
-		"peak resident point storage of the streamed passes (block buffers)")
-}
-
-func (m *searcherMetrics) observeStreamResidentPeak(points int) {
-	if m == nil || m.streamResidentPeak == nil {
-		return
-	}
-	m.streamResidentPeak.Set(float64(points))
 }
 
 func (m *searcherMetrics) observeRunStart(points, dims int) {
@@ -118,36 +67,6 @@ func (m *searcherMetrics) observeLevel(seconds float64, candidates, dense int) {
 	m.levelSeconds.Observe(seconds)
 	if candidates > 0 {
 		m.levelDenseRatio.Observe(float64(dense) / float64(candidates))
-	}
-}
-
-// fold credits the counter growth since the previous fold to the
-// registry's counter series; see runnerMetrics.fold in internal/core.
-func (m *searcherMetrics) fold(c *obs.Counters) {
-	if m == nil {
-		return
-	}
-	cur := c.Snapshot()
-	m.foldMu.Lock()
-	d := obs.Snapshot{
-		PointsScanned:   cur.PointsScanned - m.folded.PointsScanned,
-		DenseUnitProbes: cur.DenseUnitProbes - m.folded.DenseUnitProbes,
-		StreamBlocks:    cur.StreamBlocks - m.folded.StreamBlocks,
-		StreamBytes:     cur.StreamBytes - m.folded.StreamBytes,
-	}
-	m.folded = cur
-	m.foldMu.Unlock()
-	if d.PointsScanned != 0 {
-		m.pointsScanned.Add(float64(d.PointsScanned))
-	}
-	if d.DenseUnitProbes != 0 {
-		m.denseUnitProbes.Add(float64(d.DenseUnitProbes))
-	}
-	if d.StreamBlocks != 0 && m.streamBlocks != nil {
-		m.streamBlocks.Add(float64(d.StreamBlocks))
-	}
-	if d.StreamBytes != 0 && m.streamBytes != nil {
-		m.streamBytes.Add(float64(d.StreamBytes))
 	}
 }
 

@@ -70,7 +70,7 @@ func TestCliqueObserverDoesNotChangeResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	if reg := cfg.Metrics.Snapshot(); reg.Find(MetricPhaseSeconds) == nil ||
-		reg.Find(MetricDenseUnitProbes) == nil {
+		reg.Find(obs.DenseUnitProbes.SeriesName("clique")) == nil {
 		t.Error("shared registry was not recorded into")
 	}
 
@@ -171,7 +171,7 @@ func TestCliqueReportPopulated(t *testing.T) {
 	if h := rep.Metrics.Find(MetricPhaseSeconds); h == nil || h.Histogram == nil || h.Histogram.Count == 0 {
 		t.Errorf("phase-latency histogram missing from report metrics: %+v", h)
 	}
-	if c := rep.Metrics.Find(MetricDenseUnitProbes); c == nil || c.Value == nil ||
+	if c := rep.Metrics.Find(obs.DenseUnitProbes.SeriesName("clique")); c == nil || c.Value == nil ||
 		int64(*c.Value) != rep.Counters.DenseUnitProbes {
 		t.Errorf("dense-unit-probe counter metric disagrees with obs counters: %+v vs %d",
 			c, rep.Counters.DenseUnitProbes)

@@ -143,7 +143,7 @@ func TestCliqueStreamTelemetry(t *testing.T) {
 	if got, want := res.Stats.Counters.StreamBytes, passes*int64(n)*int64(ds.Dims())*8; got != want {
 		t.Errorf("stream bytes = %d, want %d (%d full passes)", got, want, passes)
 	}
-	peak := res.Stats.Metrics.Find(MetricStreamResidentPeak)
+	peak := res.Stats.Metrics.Find("clique_stream_resident_points_peak")
 	if peak == nil || peak.Value == nil {
 		t.Fatal("resident-peak gauge missing from metrics snapshot")
 	}

@@ -23,6 +23,7 @@ import (
 
 	"proclus/internal/alloc"
 	"proclus/internal/dist"
+	"proclus/internal/obs"
 	"proclus/internal/parallel"
 )
 
@@ -237,10 +238,10 @@ func (e *incrementalEval) sync(medoids []int) {
 		parallel.For(e.n, e.r.innerWorkers, e.fillFn)
 	}
 	recomputed := int64(len(e.changed)) * int64(e.n)
-	e.r.counters.DistanceEvals.Add(recomputed)
-	e.r.counters.CoordsVisited.Add(recomputed * int64(e.d))
-	e.r.counters.DistCacheRecomputes.Add(recomputed)
-	e.r.counters.DistCacheHits.Add(int64(e.k-len(e.changed))*int64(e.n) + int64(e.k)*int64(e.k-1))
+	e.r.counters[obs.DistanceEvals].Add(recomputed)
+	e.r.counters[obs.CoordsVisited].Add(recomputed * int64(e.d))
+	e.r.counters[obs.DistCacheRecomputes].Add(recomputed)
+	e.r.counters[obs.DistCacheHits].Add(int64(e.k-len(e.changed))*int64(e.n) + int64(e.k)*int64(e.k-1))
 }
 
 // localities fills the scratch locality lists from the cache: δ_i is
@@ -252,7 +253,7 @@ func (e *incrementalEval) sync(medoids []int) {
 func (e *incrementalEval) localities() {
 	parallel.For(e.k, e.r.innerWorkers, e.deltaFn)
 	parallel.For(e.k, e.r.innerWorkers, e.scanFn)
-	e.r.counters.PointsScanned.Add(int64(e.n))
+	e.r.counters[obs.PointsScanned].Add(int64(e.n))
 }
 
 // findDimensions is the scratch-backed FindDimensions (paper Figure

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"proclus/internal/obs"
 	"proclus/internal/randx"
 	"proclus/internal/synth"
 )
@@ -130,7 +131,7 @@ func TestDistCacheRecomputesOnlySwappedColumns(t *testing.T) {
 	const n = 600
 	r, e, medoids := incrementalFixture(t, n)
 
-	recomputes := func() int64 { return r.counters.DistCacheRecomputes.Load() }
+	recomputes := func() int64 { return r.counters[obs.DistCacheRecomputes].Load() }
 	e.evaluate(medoids)
 	if got := recomputes(); got != int64(n*len(medoids)) {
 		t.Fatalf("first trial recomputed %d distances, want full fill %d", got, n*len(medoids))

@@ -1,41 +1,18 @@
 package core
 
-import (
-	"sync"
+import "proclus/internal/obs/metrics"
 
-	"proclus/internal/obs"
-	"proclus/internal/obs/metrics"
-)
-
-// PROCLUS metric series names. The *_total counters mirror the exact
-// obs.Counters totals; the histograms and rate capture the
+// PROCLUS metric series names, besides the work-counter and stream
+// series of obs.CounterSeries. The histograms and rate capture the
 // distributions the paper's §4 scalability story is made of.
 const (
-	MetricPhaseSeconds   = "proclus_phase_seconds"
-	MetricRestartSeconds = "proclus_restart_seconds"
-	MetricObjectiveDelta = "proclus_objective_delta"
-	MetricAssignRate     = "proclus_assign_points_per_second"
-	MetricDistanceEvals  = "proclus_distance_evals_total"
-	MetricPointsScanned  = "proclus_points_scanned_total"
-	// The coordinates the exact distance kernels read: evaluations ×
-	// the dimension-set size of each.
-	MetricCoordsVisited = "proclus_coords_visited_total"
-	// The cache series quantify the incremental engine's savings:
-	// hits are distance evaluations avoided relative to naive
-	// evaluation, recomputes are cache-column refills actually
-	// performed (each also counted in proclus_distance_evals_total).
-	MetricDistCacheHits       = "proclus_distcache_hits_total"
-	MetricDistCacheRecomputes = "proclus_distcache_recomputes_total"
-	MetricDatasetPoints       = "proclus_dataset_points"
-	MetricDatasetDims         = "proclus_dataset_dims"
-	MetricObjectiveLatest     = "proclus_objective"
-	// The stream series exist only on out-of-core runs (RunStream):
-	// blocks and bytes delivered by the block passes, and the peak
-	// number of points the engine held resident at once — the
-	// O(sample + block) bound the streamed memory model promises.
-	MetricStreamBlocks       = "proclus_stream_blocks_total"
-	MetricStreamBytes        = "proclus_stream_bytes_total"
-	MetricStreamResidentPeak = "proclus_stream_resident_points_peak"
+	MetricPhaseSeconds    = "proclus_phase_seconds"
+	MetricRestartSeconds  = "proclus_restart_seconds"
+	MetricObjectiveDelta  = "proclus_objective_delta"
+	MetricAssignRate      = "proclus_assign_points_per_second"
+	MetricDatasetPoints   = "proclus_dataset_points"
+	MetricDatasetDims     = "proclus_dataset_dims"
+	MetricObjectiveLatest = "proclus_objective"
 )
 
 // runnerMetrics caches pre-resolved metric handles so instrumentation
@@ -45,33 +22,13 @@ const (
 type runnerMetrics struct {
 	reg *metrics.Registry
 
-	phaseSeconds        map[string]*metrics.Histogram
-	restartSeconds      *metrics.Histogram
-	objectiveDelta      *metrics.Histogram
-	assignRate          *metrics.Rate
-	distanceEvals       *metrics.Gauge
-	coordsVisited       *metrics.Gauge
-	pointsScanned       *metrics.Gauge
-	distCacheHits       *metrics.Gauge
-	distCacheRecomputes *metrics.Gauge
-	datasetPoints       *metrics.Gauge
-	datasetDims         *metrics.Gauge
-	objective           *metrics.Gauge
-
-	// Stream handles are registered lazily by enableStream: only
-	// out-of-core runs carry the series, so in-memory runs' registries
-	// (and their golden snapshots) are untouched. All three are nil —
-	// and their observation sites no-ops — otherwise.
-	streamBlocks       *metrics.Gauge
-	streamBytes        *metrics.Gauge
-	streamResidentPeak *metrics.Gauge
-
-	// foldMu guards folded, the counter snapshot already credited to the
-	// registry. Folding deltas (rather than setting totals) keeps the
-	// registry counters monotonic when several runs share one registry —
-	// the live-monitoring and benchmark-accumulation cases.
-	foldMu sync.Mutex
-	folded obs.Snapshot
+	phaseSeconds   map[string]*metrics.Histogram
+	restartSeconds *metrics.Histogram
+	objectiveDelta *metrics.Histogram
+	assignRate     *metrics.Rate
+	datasetPoints  *metrics.Gauge
+	datasetDims    *metrics.Gauge
+	objective      *metrics.Gauge
 }
 
 // newRunnerMetrics resolves every handle up front, which also makes all
@@ -92,41 +49,10 @@ func newRunnerMetrics(reg *metrics.Registry) *runnerMetrics {
 		"objective improvement of accepted hill-climb trials")
 	m.assignRate = reg.Rate(MetricAssignRate,
 		"assignment-pass throughput in points per second")
-	m.distanceEvals = reg.Counter(MetricDistanceEvals,
-		"point-to-point distance evaluations")
-	m.coordsVisited = reg.Counter(MetricCoordsVisited,
-		"coordinates read by exact distance kernels")
-	m.pointsScanned = reg.Counter(MetricPointsScanned,
-		"data-point visits by full-dataset passes")
-	m.distCacheHits = reg.Counter(MetricDistCacheHits,
-		"distance evaluations avoided by the incremental hill-climb cache")
-	m.distCacheRecomputes = reg.Counter(MetricDistCacheRecomputes,
-		"distance-cache column entries recomputed after medoid swaps")
 	m.datasetPoints = reg.Gauge(MetricDatasetPoints, "points in the current input")
 	m.datasetDims = reg.Gauge(MetricDatasetDims, "dimensionality of the current input")
 	m.objective = reg.Gauge(MetricObjectiveLatest, "objective of the latest finished run")
 	return m
-}
-
-// enableStream registers the out-of-core series. RunStream calls it
-// once before its first block pass.
-func (m *runnerMetrics) enableStream() {
-	if m == nil {
-		return
-	}
-	m.streamBlocks = m.reg.Counter(MetricStreamBlocks,
-		"blocks delivered by out-of-core point-source passes")
-	m.streamBytes = m.reg.Counter(MetricStreamBytes,
-		"encoded point bytes delivered by out-of-core passes")
-	m.streamResidentPeak = m.reg.Gauge(MetricStreamResidentPeak,
-		"peak resident point storage of the streamed engine (sample + block buffers)")
-}
-
-func (m *runnerMetrics) observeStreamResidentPeak(points int) {
-	if m == nil || m.streamResidentPeak == nil {
-		return
-	}
-	m.streamResidentPeak.Set(float64(points))
 }
 
 func (m *runnerMetrics) observeRunStart(points, dims int) {
@@ -170,50 +96,6 @@ func (m *runnerMetrics) observeObjective(v float64) {
 		return
 	}
 	m.objective.Set(v)
-}
-
-// fold credits the counter growth since the previous fold to the
-// registry's counter series. Called at phase and restart boundaries, so
-// a live /metrics scrape tracks the run's progress without any per-point
-// cost.
-func (m *runnerMetrics) fold(c *obs.Counters) {
-	if m == nil {
-		return
-	}
-	cur := c.Snapshot()
-	m.foldMu.Lock()
-	d := obs.Snapshot{
-		DistanceEvals:       cur.DistanceEvals - m.folded.DistanceEvals,
-		CoordsVisited:       cur.CoordsVisited - m.folded.CoordsVisited,
-		PointsScanned:       cur.PointsScanned - m.folded.PointsScanned,
-		DistCacheHits:       cur.DistCacheHits - m.folded.DistCacheHits,
-		DistCacheRecomputes: cur.DistCacheRecomputes - m.folded.DistCacheRecomputes,
-		StreamBlocks:        cur.StreamBlocks - m.folded.StreamBlocks,
-		StreamBytes:         cur.StreamBytes - m.folded.StreamBytes,
-	}
-	m.folded = cur
-	m.foldMu.Unlock()
-	if d.DistanceEvals != 0 {
-		m.distanceEvals.Add(float64(d.DistanceEvals))
-	}
-	if d.CoordsVisited != 0 {
-		m.coordsVisited.Add(float64(d.CoordsVisited))
-	}
-	if d.PointsScanned != 0 {
-		m.pointsScanned.Add(float64(d.PointsScanned))
-	}
-	if d.DistCacheHits != 0 {
-		m.distCacheHits.Add(float64(d.DistCacheHits))
-	}
-	if d.DistCacheRecomputes != 0 {
-		m.distCacheRecomputes.Add(float64(d.DistCacheRecomputes))
-	}
-	if d.StreamBlocks != 0 && m.streamBlocks != nil {
-		m.streamBlocks.Add(float64(d.StreamBlocks))
-	}
-	if d.StreamBytes != 0 && m.streamBytes != nil {
-		m.streamBytes.Add(float64(d.StreamBytes))
-	}
 }
 
 // snapshot returns the registry's current state for embedding in Stats.

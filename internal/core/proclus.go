@@ -126,8 +126,10 @@ type runner struct {
 	// it stays cheap enough to keep always on.
 	counters obs.Counters
 	// metrics records quantitative telemetry at phase/restart/pass
-	// boundaries; nil (white-box tests) disables recording.
+	// boundaries, and work mirrors counters into the same registry;
+	// nil (white-box tests) disables recording.
 	metrics *runnerMetrics
+	work    *obs.CounterSeries
 	// series records per-iteration and per-block trajectories; nil —
 	// the default, recording is opt-in via Config.Series — disables it.
 	series *runnerSeries
@@ -145,9 +147,11 @@ func newEngine(ctx context.Context, src PointSource, resident *dataset.Dataset, 
 	}
 	r := &runner{ctx: ctx, src: src, ds: resident, stream: resident == nil,
 		cfg: cfg, rng: randx.New(cfg.Seed), obs: cfg.Observer,
-		metrics: newRunnerMetrics(reg), series: newRunnerSeries(cfg.Series)}
+		metrics: newRunnerMetrics(reg), series: newRunnerSeries(cfg.Series),
+		work: obs.NewCounterSeries(reg, "proclus", obs.DistanceEvals, obs.CoordsVisited,
+			obs.PointsScanned, obs.DistCacheHits, obs.DistCacheRecomputes)}
 	if r.stream {
-		r.metrics.enableStream()
+		r.work.EnableStream("peak resident point storage of the streamed engine (sample + block buffers)")
 	}
 	return r
 }
@@ -198,7 +202,7 @@ func (r *runner) run() (*Result, error) {
 	r.emit(obs.Event{Type: obs.EvPhaseEnd, Phase: "initialize",
 		Candidates: len(candidates), Seconds: r.stats.InitDuration.Seconds()})
 	r.metrics.observePhase("initialize", r.stats.InitDuration.Seconds())
-	r.metrics.fold(&r.counters)
+	r.work.Fold(&r.counters)
 
 	best, totalIterations, err := r.iteratePhase(candidates, workers)
 	if err != nil {
@@ -227,11 +231,11 @@ func (r *runner) run() (*Result, error) {
 		// Peak resident point storage: the sample plus the two block
 		// buffers of the double-buffered reader — the promised
 		// O(sample + block).
-		r.metrics.observeStreamResidentPeak(r.ds.Len() + 2*r.maxBlockLen)
+		r.work.ObserveResidentPeak(r.ds.Len() + 2*r.maxBlockLen)
 	}
 	r.stats.Counters = r.counters.Snapshot()
 	r.metrics.observeObjective(res.Objective)
-	r.metrics.fold(&r.counters)
+	r.work.Fold(&r.counters)
 	r.stats.Metrics = r.metrics.snapshot()
 	r.stats.Series = r.cfg.Series.Snapshot()
 	res.Stats = r.stats
@@ -287,7 +291,7 @@ func (r *runner) iteratePhase(candidates []int, workers int) (*trialState, int, 
 		r.emit(obs.Event{Type: obs.EvRestartEnd, Restart: i + 1,
 			Iteration: o.iterations, Objective: o.trial.objective, Seconds: o.duration.Seconds()})
 		r.metrics.observeRestart(o.duration.Seconds())
-		r.metrics.fold(&r.counters)
+		r.work.Fold(&r.counters)
 	})
 	// Merge in restart order so the trace, the per-restart stats and the
 	// best-trial tie-break (strictly-lower objective wins, so equal
@@ -410,7 +414,7 @@ func (r *runner) collectSample(idx []int) (*dataset.Dataset, error) {
 			copy(flat[p.slot*d:(p.slot+1)*d], b.Point(p.idx-b.Start()))
 			cursor++
 		}
-		r.counters.PointsScanned.Add(int64(b.Len()))
+		r.counters[obs.PointsScanned].Add(int64(b.Len()))
 		return nil
 	})
 	if err != nil {
@@ -440,8 +444,8 @@ func (r *runner) farthestFirst(m, count int, at func(i int) []float64) ([]int, e
 	if err != nil {
 		return nil, fmt.Errorf("proclus: greedy medoid selection: %w", err)
 	}
-	r.counters.DistanceEvals.Add(evals.Load())
-	r.counters.CoordsVisited.Add(evals.Load() * int64(r.src.Dims()))
+	r.counters[obs.DistanceEvals].Add(evals.Load())
+	r.counters[obs.CoordsVisited].Add(evals.Load() * int64(r.src.Dims()))
 	return picks, nil
 }
 
@@ -548,9 +552,9 @@ func (r *runner) assignChunk(medoidPoints [][]float64, dims [][]int,
 		assign[p] = nearestMedoid(r.ds.Point(p), medoidPoints, dims, metric)
 	}
 	evals := int64(hi-lo) * int64(len(medoidPoints))
-	r.counters.DistanceEvals.Add(evals)
-	r.counters.CoordsVisited.Add(int64(hi-lo) * dimsTotal(dims))
-	r.counters.PointsScanned.Add(int64(hi - lo))
+	r.counters[obs.DistanceEvals].Add(evals)
+	r.counters[obs.CoordsVisited].Add(int64(hi-lo) * dimsTotal(dims))
+	r.counters[obs.PointsScanned].Add(int64(hi - lo))
 }
 
 // tallySizes recounts cluster sizes from an assignment vector.
@@ -750,7 +754,7 @@ func (r *runner) refine(best *trialState) (*Result, error) {
 					assign[b.Index(i)] = a
 				}
 				t.credit(&r.counters)
-				r.counters.PointsScanned.Add(int64(hi - lo))
+				r.counters[obs.PointsScanned].Add(int64(hi - lo))
 			})
 		}
 		for i := 0; i < bn; i++ {
@@ -842,7 +846,7 @@ func (r *runner) scorePass(res *Result) (float64, error) {
 			cl := &res.Clusters[a]
 			devs[a] += dist.Segmental(b.Point(i), cl.Centroid, cl.Dimensions)
 		}
-		r.counters.PointsScanned.Add(int64(b.Len()))
+		r.counters[obs.PointsScanned].Add(int64(b.Len()))
 		return nil
 	})
 	if err != nil {
@@ -873,7 +877,7 @@ func (r *runner) scoreMembers(res *Result) float64 {
 		}
 		points += len(cl.Members)
 	}
-	r.counters.PointsScanned.Add(int64(len(res.Assignments)))
+	r.counters[obs.PointsScanned].Add(int64(len(res.Assignments)))
 	if points == 0 {
 		return 0
 	}
@@ -927,8 +931,8 @@ type evalTally struct {
 
 // credit adds the tally to the run counters.
 func (t *evalTally) credit(c *obs.Counters) {
-	c.DistanceEvals.Add(t.evals)
-	c.CoordsVisited.Add(t.coords)
+	c[obs.DistanceEvals].Add(t.evals)
+	c[obs.CoordsVisited].Add(t.coords)
 }
 
 // dimsTotal is the summed dimension-set size Σᵢ |dims[i]| — the

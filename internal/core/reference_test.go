@@ -14,6 +14,7 @@ import (
 
 	"proclus/internal/dataset"
 	"proclus/internal/dist"
+	"proclus/internal/obs"
 	"proclus/internal/parallel"
 )
 
@@ -82,8 +83,8 @@ func (r *runner) computeLocalities(medoids []int) [][]int {
 		}
 	}
 	pairs := int64(k) * int64(k-1)
-	r.counters.DistanceEvals.Add(pairs)
-	r.counters.CoordsVisited.Add(pairs * fullDims)
+	r.counters[obs.DistanceEvals].Add(pairs)
+	r.counters[obs.CoordsVisited].Add(pairs * fullDims)
 	// Sharded scan: each worker fills per-chunk lists, concatenated in
 	// chunk order afterwards so the result is identical to a serial
 	// scan. Strict inequality keeps the nearest other medoid (at
@@ -106,9 +107,9 @@ func (r *runner) computeLocalities(medoids []int) [][]int {
 			}
 		}
 		evals := int64(hi-lo) * int64(k)
-		r.counters.DistanceEvals.Add(evals)
-		r.counters.CoordsVisited.Add(evals * fullDims)
-		r.counters.PointsScanned.Add(int64(hi - lo))
+		r.counters[obs.DistanceEvals].Add(evals)
+		r.counters[obs.CoordsVisited].Add(evals * fullDims)
+		r.counters[obs.PointsScanned].Add(int64(hi - lo))
 		mu.Lock()
 		chunks = append(chunks, chunk{lo: lo, lists: lists})
 		mu.Unlock()

@@ -197,7 +197,7 @@ func TestReportPopulated(t *testing.T) {
 	if h := rep.Metrics.Find(MetricPhaseSeconds); h == nil || h.Histogram == nil || h.Histogram.Count == 0 {
 		t.Errorf("phase-latency histogram missing from report metrics: %+v", h)
 	}
-	if c := rep.Metrics.Find(MetricDistanceEvals); c == nil || c.Value == nil ||
+	if c := rep.Metrics.Find(obs.DistanceEvals.SeriesName("proclus")); c == nil || c.Value == nil ||
 		int64(*c.Value) != rep.Counters.DistanceEvals {
 		t.Errorf("distance-evals counter metric disagrees with obs counters: %+v vs %d",
 			c, rep.Counters.DistanceEvals)
@@ -254,7 +254,7 @@ func TestObserverDoesNotChangeResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	if reg := cfg.Metrics.Snapshot(); reg.Find(MetricPhaseSeconds) == nil ||
-		reg.Find(MetricDistanceEvals) == nil {
+		reg.Find(obs.DistanceEvals.SeriesName("proclus")) == nil {
 		t.Error("shared registry was not recorded into")
 	}
 

@@ -62,8 +62,8 @@ func (r *runner) pass(name string, fn func(b *dataset.Block) error) error {
 		if !r.stream {
 			return fn(b)
 		}
-		r.counters.StreamBlocks.Add(1)
-		r.counters.StreamBytes.Add(b.Bytes())
+		r.counters[obs.StreamBlocks].Add(1)
+		r.counters[obs.StreamBytes].Add(b.Bytes())
 		if l := b.Len(); l > r.maxBlockLen {
 			r.maxBlockLen = l
 		}

@@ -272,7 +272,7 @@ func TestStreamResidencyBounded(t *testing.T) {
 
 	sampleSize := 30 * k // SampleFactor default × K
 	wantPeak := float64(sampleSize + 2*blockPoints)
-	peak := res.Stats.Metrics.Find(MetricStreamResidentPeak)
+	peak := res.Stats.Metrics.Find("proclus_stream_resident_points_peak")
 	if peak == nil || peak.Value == nil {
 		t.Fatal("resident-peak gauge missing from metrics snapshot")
 	}

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 )
 
@@ -61,27 +60,6 @@ func BenchmarkReadCSV(b *testing.B) {
 		if _, err := ReadCSV(bytes.NewReader(raw), true); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkScannerStream(b *testing.B) {
-	ds := benchDataset(b, 10000, 20)
-	path := filepath.Join(b.TempDir(), "bench.bin")
-	if err := ds.SaveFile(path); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc, err := OpenScanner(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for sc.Next() {
-		}
-		if err := sc.Err(); err != nil {
-			b.Fatal(err)
-		}
-		sc.Close()
 	}
 }
 

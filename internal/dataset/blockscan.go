@@ -104,10 +104,8 @@ func (b *Block) Bytes() int64 { return int64(len(b.data)) * 8 }
 // concurrently, and a Block is valid only until the following Next or
 // Close call.
 type BlockScanner struct {
-	dims        int
-	n           int
+	binaryHeader
 	blockPoints int
-	labeled     bool
 
 	blocks chan *Block   // filled blocks, reader → consumer
 	free   chan *Block   // recycled buffers, consumer → reader
@@ -126,35 +124,23 @@ type BlockScanner struct {
 // adversarial header fails fast instead of demanding memory or reading
 // garbage.
 func OpenBlockScanner(path string, blockPoints int) (*BlockScanner, error) {
-	f, err := os.Open(path)
+	f, br, h, err := openBinary(path, 1<<20)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: opening %s: %w", path, err)
-	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	dims, n, labeled, err := readBlockHeader(br)
-	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if err := verifyDeclaredSize(f, dims, n, labeled); err != nil {
-		f.Close()
-		return nil, err
-	}
-	bp := clampBlockPoints(blockPoints, dims, n)
+	bp := clampBlockPoints(blockPoints, h.dims, h.n)
 	s := &BlockScanner{
-		dims:        dims,
-		n:           n,
-		blockPoints: bp,
-		labeled:     labeled,
-		blocks:      make(chan *Block),
-		free:        make(chan *Block, 2),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		binaryHeader: h,
+		blockPoints:  bp,
+		blocks:       make(chan *Block),
+		free:         make(chan *Block, 2),
+		stop:         make(chan struct{}),
+		done:         make(chan struct{}),
 	}
 	// Two buffers total: the consumer works on one while the reader
 	// decodes the next.
 	for i := 0; i < 2; i++ {
-		s.free <- &Block{dims: dims, data: make([]float64, bp*dims)}
+		s.free <- &Block{dims: h.dims, data: make([]float64, bp*h.dims)}
 	}
 	go s.read(f, br)
 	return s, nil
@@ -255,60 +241,87 @@ func (s *BlockScanner) Close() error {
 	return nil
 }
 
-// readBlockHeader parses and validates the binary-format header,
-// returning the declared shape. It enforces the same allocation guards
-// as ReadBinary: a header cannot demand memory proportional to its own
-// declared (possibly lying) size.
-func readBlockHeader(r io.Reader) (dims, n int, labeled bool, err error) {
+// binaryHeader is the shape a binary dataset file's header declares.
+type binaryHeader struct {
+	dims, n int
+	labeled bool
+}
+
+// readBlockHeader parses and validates the binary-format header, the
+// one parser every reader of the format goes through. Its guards,
+// dims ≤ 2^20 and n ≤ 2^40, bound n·dims·8 at 2^63, so a payload size
+// computed from a (possibly lying) header fits in a uint64.
+func readBlockHeader(r io.Reader) (binaryHeader, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return 0, 0, false, fmt.Errorf("dataset: reading binary magic: %w", err)
+		return binaryHeader{}, fmt.Errorf("dataset: reading binary magic: %w", err)
 	}
 	if magic != binaryMagic {
-		return 0, 0, false, fmt.Errorf("dataset: bad binary magic %q", magic[:])
+		return binaryHeader{}, fmt.Errorf("dataset: bad binary magic %q", magic[:])
 	}
 	var version, dims32 uint32
 	var n64 uint64
 	var labeled8 uint8
 	for _, v := range []any{&version, &dims32, &n64, &labeled8} {
 		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return 0, 0, false, fmt.Errorf("dataset: reading binary header: %w", err)
+			return binaryHeader{}, fmt.Errorf("dataset: reading binary header: %w", err)
 		}
 	}
 	if version != binaryVersion {
-		return 0, 0, false, fmt.Errorf("dataset: unsupported binary version %d", version)
+		return binaryHeader{}, fmt.Errorf("dataset: unsupported binary version %d", version)
 	}
 	if dims32 == 0 {
-		return 0, 0, false, fmt.Errorf("dataset: binary header declares zero dims")
+		return binaryHeader{}, fmt.Errorf("dataset: binary header declares zero dims")
 	}
 	const maxDims = 1 << 20
 	if dims32 > maxDims {
-		return 0, 0, false, fmt.Errorf("dataset: binary header declares %d dims (limit %d)", dims32, maxDims)
+		return binaryHeader{}, fmt.Errorf("dataset: binary header declares %d dims (limit %d)", dims32, maxDims)
 	}
 	const maxPoints = 1 << 40
 	if n64 > maxPoints {
-		return 0, 0, false, fmt.Errorf("dataset: binary header declares %d points (limit %d)", n64, maxPoints)
+		return binaryHeader{}, fmt.Errorf("dataset: binary header declares %d points (limit %d)", n64, maxPoints)
 	}
-	return int(dims32), int(n64), labeled8 == 1, nil
+	return binaryHeader{dims: int(dims32), n: int(n64), labeled: labeled8 == 1}, nil
 }
 
-// verifyDeclaredSize cross-checks the header's declared payload against
-// the file's actual size, so a header lying about n or dims fails here
-// rather than mid-stream (or, worse, after a giant allocation). The
-// arithmetic is carried in uint64: the header guards bound n·dims·8 at
-// 2^63, which cannot overflow. Irregular files (pipes) skip the check.
-func verifyDeclaredSize(f *os.File, dims, n int, labeled bool) error {
+// openBinary opens a binary dataset file, parses its header and checks
+// the declared payload against the file's actual size, so a header
+// lying about n or dims fails here rather than mid-stream (or, worse,
+// after a giant allocation). Irregular files (pipes) skip the size
+// check. The returned reader, of bufSize bytes, is positioned at the
+// data section; the caller closes f.
+func openBinary(path string, bufSize int) (*os.File, *bufio.Reader, binaryHeader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, binaryHeader{}, fmt.Errorf("dataset: opening %s: %w", path, err)
+	}
+	br := bufio.NewReaderSize(f, bufSize)
+	h, err := readBlockHeader(br)
+	if err == nil {
+		err = verifyDeclaredSize(f, h)
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, binaryHeader{}, err
+	}
+	return f, br, h, nil
+}
+
+// verifyDeclaredSize cross-checks h's declared payload against f's
+// size. The arithmetic is carried in uint64, which the header guards
+// keep from overflowing.
+func verifyDeclaredSize(f *os.File, h binaryHeader) error {
 	info, err := f.Stat()
 	if err != nil || !info.Mode().IsRegular() {
 		return nil
 	}
-	need := uint64(binaryHeaderSize) + uint64(n)*uint64(dims)*8
-	if labeled {
-		need += uint64(n) * 8
+	need := uint64(binaryHeaderSize) + uint64(h.n)*uint64(h.dims)*8
+	if h.labeled {
+		need += uint64(h.n) * 8
 	}
 	if size := uint64(info.Size()); size < need {
 		return fmt.Errorf("dataset: %s declares %d×%d points (%d bytes) but holds only %d bytes",
-			info.Name(), n, dims, need, size)
+			info.Name(), h.n, h.dims, need, size)
 	}
 	return nil
 }
@@ -375,31 +388,22 @@ func (ms *MemorySource) Blocks(ctx context.Context, fn func(*Block) error) error
 // serves any number of sequential passes while holding no file handle
 // between them. The header is read (and size-verified) once at open.
 type FileSource struct {
+	binaryHeader
 	path        string
 	blockPoints int
-	dims        int
-	n           int
-	labeled     bool
 }
 
 // OpenFileSource validates the binary dataset file at path and returns
 // a source streaming it with the given block granularity (non-positive
 // selects DefaultBlockPoints).
 func OpenFileSource(path string, blockPoints int) (*FileSource, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	dims, n, labeled, err := readBlockHeader(bufio.NewReaderSize(f, 4096))
+	f, _, h, err := openBinary(path, 4096)
 	if err != nil {
 		return nil, err
 	}
-	if err := verifyDeclaredSize(f, dims, n, labeled); err != nil {
-		return nil, err
-	}
-	return &FileSource{path: path, dims: dims, n: n, labeled: labeled,
-		blockPoints: clampBlockPoints(blockPoints, dims, n)}, nil
+	f.Close()
+	return &FileSource{binaryHeader: h, path: path,
+		blockPoints: clampBlockPoints(blockPoints, h.dims, h.n)}, nil
 }
 
 // Len returns the number of points the file declares.

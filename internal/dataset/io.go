@@ -124,6 +124,10 @@ var binaryMagic = [4]byte{'P', 'C', 'D', 'S'}
 
 const binaryVersion = 1
 
+// binaryHeaderSize is the byte length of the fixed header:
+// magic(4) + version(4) + dims(4) + n(8) + labeled(1).
+const binaryHeaderSize = 4 + 4 + 4 + 8 + 1
+
 // WriteBinary writes the dataset in the repository's binary format.
 func (ds *Dataset) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -164,61 +168,28 @@ func (ds *Dataset) WriteBinary(w io.Writer) error {
 // ReadBinary reads a dataset previously written by WriteBinary.
 func ReadBinary(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("dataset: reading binary magic: %w", err)
+	// readBlockHeader bounds dims and n, and the points are read one at
+	// a time into storage that grows with actual file content, so a
+	// header declaring billions of points fails at EOF after a small
+	// allocation rather than up-front exhaustion (found by
+	// FuzzReadBinary).
+	h, err := readBlockHeader(br)
+	if err != nil {
+		return nil, err
 	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("dataset: bad binary magic %q", magic[:])
-	}
-	var version, dims uint32
-	var n uint64
-	var labeled uint8
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("dataset: reading binary version: %w", err)
-	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("dataset: unsupported binary version %d", version)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &dims); err != nil {
-		return nil, fmt.Errorf("dataset: reading binary dims: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("dataset: reading binary count: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &labeled); err != nil {
-		return nil, fmt.Errorf("dataset: reading binary label flag: %w", err)
-	}
-	if dims == 0 {
-		return nil, fmt.Errorf("dataset: binary header declares zero dims")
-	}
-	// Guard header-driven allocations: a corrupted or adversarial header
-	// must not be able to demand arbitrary memory before any data is
-	// read (found by FuzzReadBinary). Points are read one at a time and
-	// the backing array grows with actual file content, so a header
-	// declaring billions of points fails at EOF after a small
-	// allocation rather than up-front exhaustion.
-	const maxDims = 1 << 20
-	if dims > maxDims {
-		return nil, fmt.Errorf("dataset: binary header declares %d dims (limit %d)", dims, maxDims)
-	}
-	const maxPoints = 1 << 40
-	if n > maxPoints {
-		return nil, fmt.Errorf("dataset: binary header declares %d points (limit %d)", n, maxPoints)
-	}
-	ds := New(int(dims))
-	rowBuf := make([]byte, 8*int(dims))
-	for i := uint64(0); i < n; i++ {
+	ds := New(h.dims)
+	rowBuf := make([]byte, 8*h.dims)
+	for i := 0; i < h.n; i++ {
 		if _, err := io.ReadFull(br, rowBuf); err != nil {
 			return nil, fmt.Errorf("dataset: reading binary data: %w", err)
 		}
-		for j := 0; j < int(dims); j++ {
+		for j := 0; j < h.dims; j++ {
 			ds.data = append(ds.data, math.Float64frombits(binary.LittleEndian.Uint64(rowBuf[8*j:])))
 		}
 	}
-	if labeled == 1 {
+	if h.labeled {
 		buf := make([]byte, 8)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < h.n; i++ {
 			if _, err := io.ReadFull(br, buf); err != nil {
 				return nil, fmt.Errorf("dataset: reading binary labels: %w", err)
 			}

@@ -1,9 +1,11 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -16,76 +18,21 @@ func writeTempBinary(t *testing.T, ds *Dataset) string {
 	return path
 }
 
-func TestScannerStreamsAllPoints(t *testing.T) {
-	ds := randomDataset(21, 137, 5, true)
-	path := writeTempBinary(t, ds)
-	sc, err := OpenScanner(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if sc.Dims() != 5 || sc.Len() != 137 || !sc.Labeled() {
-		t.Fatalf("header: dims=%d len=%d labeled=%v", sc.Dims(), sc.Len(), sc.Labeled())
-	}
-	count := 0
-	for sc.Next() {
-		p := sc.Point()
-		want := ds.Point(sc.Index())
-		for j := range p {
-			if p[j] != want[j] {
-				t.Fatalf("point %d dim %d: %v vs %v", sc.Index(), j, p[j], want[j])
-			}
-		}
-		count++
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 137 {
-		t.Fatalf("streamed %d points, want 137", count)
-	}
-	// Next after exhaustion stays false without error.
-	if sc.Next() {
-		t.Fatal("Next returned true after exhaustion")
-	}
-}
-
-func TestScannerPointIsReused(t *testing.T) {
-	ds := randomDataset(22, 3, 2, false)
-	path := writeTempBinary(t, ds)
-	sc, err := OpenScanner(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if !sc.Next() {
-		t.Fatal("no first point")
-	}
-	first := sc.Point()
-	v := first[0]
-	if !sc.Next() {
-		t.Fatal("no second point")
-	}
-	if first[0] == v && ds.Point(0)[0] != ds.Point(1)[0] {
-		t.Fatal("Point buffer not reused as documented")
-	}
-}
-
-func TestScannerRejectsBadFiles(t *testing.T) {
+func TestScanStatsRejectsBadFiles(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.bin")
 	if err := os.WriteFile(bad, []byte("garbage!"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenScanner(bad); err == nil {
+	if _, _, err := ScanStats(bad); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := OpenScanner(filepath.Join(dir, "missing.bin")); err == nil {
+	if _, _, err := ScanStats(filepath.Join(dir, "missing.bin")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
 
-func TestScannerTruncatedData(t *testing.T) {
+func TestScanStatsTruncatedData(t *testing.T) {
 	ds := randomDataset(23, 20, 4, false)
 	path := writeTempBinary(t, ds)
 	data, err := os.ReadFile(path)
@@ -96,15 +43,42 @@ func TestScannerTruncatedData(t *testing.T) {
 	if err := os.WriteFile(trunc, data[:len(data)-17], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := OpenScanner(trunc)
+	if _, _, err := ScanStats(trunc); err == nil {
+		t.Fatal("truncated file scanned without error")
+	}
+}
+
+// TestScanLyingHeader declares far more points than a labeled file
+// holds — once past the header's point limit, once within it — and
+// expects every Scan* function to refuse the file with an error naming
+// the declaration, before allocating or reading for the lie.
+func TestScanLyingHeader(t *testing.T) {
+	ds := New(3)
+	for i := 0; i < 10; i++ {
+		ds.AppendLabeled([]float64{float64(i), 1, 2}, i%2)
+	}
+	valid, err := os.ReadFile(writeTempBinary(t, ds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Close()
-	for sc.Next() {
+	scans := map[string]func(string) error{
+		"ScanStats":          func(p string) error { _, _, err := ScanStats(p); return err },
+		"ScanLabels":         func(p string) error { _, err := ScanLabels(p); return err },
+		"ScanLabelHistogram": func(p string) error { _, err := ScanLabelHistogram(p); return err },
 	}
-	if sc.Err() == nil {
-		t.Fatal("truncated file scanned without error")
+	for _, n := range []uint64{1 << 61, 1000} {
+		lying := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(lying[12:], n)
+		path := filepath.Join(t.TempDir(), "lying.bin")
+		if err := os.WriteFile(path, lying, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for name, scan := range scans {
+			err := scan(path)
+			if err == nil || !strings.Contains(err.Error(), "declares") {
+				t.Errorf("%s on a header declaring %d points: err = %v, want a declared-size error", name, n, err)
+			}
+		}
 	}
 }
 

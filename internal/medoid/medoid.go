@@ -159,8 +159,8 @@ func assignAll(ds *dataset.Dataset, d dist.Func, medoids []int, counters *obs.Co
 	// Every evaluation walks every coordinate: n·k evaluations of d
 	// coordinates each, batched in one add per pass.
 	n, k, dims := int64(ds.Len()), int64(len(medoids)), int64(ds.Dims())
-	counters.PointsScanned.Add(n)
-	counters.DistanceEvals.Add(n * k)
-	counters.CoordsVisited.Add(n * k * dims)
+	counters[obs.PointsScanned].Add(n)
+	counters[obs.DistanceEvals].Add(n * k)
+	counters[obs.CoordsVisited].Add(n * k * dims)
 	return assign, cost
 }

@@ -475,14 +475,7 @@ func (s *Store) writeIndexLocked() error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(tmp)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(idx); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
+	if err := encodeDurably(tmp, idx); err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
@@ -507,13 +500,24 @@ func writeJSON(path string, doc any) error {
 	if err != nil {
 		return err
 	}
+	return encodeDurably(f, doc)
+}
+
+// encodeDurably writes doc as indented JSON to f, syncs it to stable
+// storage and closes it, so a later rename never publishes a file whose
+// bytes a crash could still lose. f is closed on every path; the caller
+// removes it on error.
+func encodeDurably(f *os.File, doc any) error {
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
+	err := enc.Encode(doc)
+	if err == nil {
+		err = f.Sync()
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // GitRev best-effort resolves the current checkout's short revision;

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,6 +76,37 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	}
 	if rec.Report == nil || rec.Report.Dataset.Points != 100 {
 		t.Errorf("report = %+v", rec.Report)
+	}
+}
+
+// TestSaveFailureLeavesNoTrace fails a save mid-write (a NaN quality
+// index cannot be encoded) and expects the error surfaced, no staging
+// directory left behind, and the archive and its index unchanged. The
+// fsync before each rename is not observable in-process; this pins the
+// cleanup on the error paths around it.
+func TestSaveFailureLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.SaveRun(testRun(1, "proclus")); err != nil {
+		t.Fatal(err)
+	}
+	bad := testRun(2, "proclus")
+	bad.Quality = map[string]float64{"ari": math.NaN()}
+	if _, err := st.SaveRun(bad); err == nil {
+		t.Fatal("unencodable run saved without error")
+	}
+	if staged, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(staged) != 0 {
+		t.Errorf("failed save left staging directories: %v", staged)
+	}
+	ms, probs, err := st.List()
+	if err != nil || len(ms) != 1 || len(probs) != 0 {
+		t.Errorf("after failed save: %d entries, problems %v, err %v", len(ms), probs, err)
+	}
+	if idx, err := ReadIndex(dir); err != nil || len(idx.Runs) != 1 {
+		t.Errorf("index after failed save: %+v (%v)", idx, err)
 	}
 }
 

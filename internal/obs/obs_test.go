@@ -117,9 +117,9 @@ func TestMulti(t *testing.T) {
 
 func TestCountersSnapshot(t *testing.T) {
 	var c Counters
-	c.DistanceEvals.Add(10)
-	c.PointsScanned.Add(20)
-	c.DenseUnitProbes.Add(30)
+	c[DistanceEvals].Add(10)
+	c[PointsScanned].Add(20)
+	c[DenseUnitProbes].Add(30)
 	s := c.Snapshot()
 	if s.DistanceEvals != 10 || s.PointsScanned != 20 || s.DenseUnitProbes != 30 {
 		t.Fatalf("snapshot = %+v", s)

@@ -49,7 +49,7 @@ func TestServerEndpoints(t *testing.T) {
 	reg.Counter("proclus_distance_evals_total", "distance evaluations").Add(42)
 	reg.Histogram("proclus_phase_seconds", "phase wall time", metrics.L("phase", "iterate")).Observe(0.5)
 	var counters obs.Counters
-	counters.DistanceEvals.Add(42)
+	counters[obs.DistanceEvals].Add(42)
 	live := NewLive()
 	live.Observe(obs.Event{Type: obs.EvRunStart, Algorithm: "proclus", Points: 100, Dims: 5})
 	live.Observe(obs.Event{Type: obs.EvPhaseEnd, Algorithm: "proclus", Phase: "initialize", Seconds: 0.25})
@@ -132,7 +132,7 @@ func TestServerConcurrentWithRecording(t *testing.T) {
 			}
 			i++
 			hist.Observe(float64(i%10) * 0.01)
-			counters.DistanceEvals.Add(7)
+			counters[obs.DistanceEvals].Add(7)
 			live.Observe(obs.Event{Type: obs.EvIteration, Restart: 1, Iteration: i, Objective: 1, Best: 1})
 		}
 	}()

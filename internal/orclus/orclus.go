@@ -123,9 +123,10 @@ type Result struct {
 // same way they pin PROCLUS work.
 type Stats struct {
 	// Counters snapshots the full-dataset passes' work: every projected
-	// distance in the assignment and outlier passes is a
-	// distance_evals evaluation, and coords_visited counts the |basis|·d coordinates each
-	// evaluation touched. Totals are identical for every worker count.
+	// distance in the assignment and outlier passes is an
+	// obs.DistanceEvals evaluation, and obs.CoordsVisited counts the
+	// |basis|·d coordinates each evaluation touched. Totals are
+	// identical for every worker count.
 	Counters obs.Snapshot
 	// DatasetPoints and DatasetDims record the input shape.
 	DatasetPoints int
@@ -274,9 +275,9 @@ func assign(ds *dataset.Dataset, clusters []*state, workers int, counters *obs.C
 			best[p] = bi
 		}
 		n := int64(hi - lo)
-		counters.PointsScanned.Add(n)
-		counters.DistanceEvals.Add(n * int64(len(clusters)))
-		counters.CoordsVisited.Add(n * scanCoords)
+		counters[obs.PointsScanned].Add(n)
+		counters[obs.DistanceEvals].Add(n * int64(len(clusters)))
+		counters[obs.CoordsVisited].Add(n * scanCoords)
 	})
 	for p, b := range best {
 		clusters[b].members = append(clusters[b].members, p)
@@ -421,9 +422,9 @@ func stripOutliers(ds *dataset.Dataset, clusters []*state, counters *obs.Counter
 		}
 		c.members = kept
 	}
-	counters.PointsScanned.Add(scanned)
-	counters.DistanceEvals.Add(evals)
-	counters.CoordsVisited.Add(coords)
+	counters[obs.PointsScanned].Add(scanned)
+	counters[obs.DistanceEvals].Add(evals)
+	counters[obs.CoordsVisited].Add(coords)
 }
 
 // unionEnergy returns the projected energy of the union of two clusters

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 
 	"proclus/internal/obs"
@@ -126,33 +125,23 @@ func CompareCell(g GoldenCell, got Outcome) []string {
 	return bad
 }
 
-// compareCounters diffs two counter snapshots field by field with the
-// benchcmp-style relative tolerance. A counter that was zero in the
+// compareCounters diffs two counter snapshots counter by counter with
+// the benchcmp-style relative tolerance. A counter that was zero in the
 // golden must stay zero: work appearing on a formerly idle counter is a
 // behaviour change, not drift.
 func compareCounters(label string, want, got obs.Snapshot) []string {
 	var bad []string
-	wv := reflect.ValueOf(want)
-	gv := reflect.ValueOf(got)
-	t := wv.Type()
-	for i := 0; i < t.NumField(); i++ {
-		if t.Field(i).Type.Kind() != reflect.Int64 {
-			continue
-		}
-		w := wv.Field(i).Int()
-		g := gv.Field(i).Int()
-		if w == g {
-			continue
-		}
-		name := t.Field(i).Name
-		if w == 0 {
-			bad = append(bad, fmt.Sprintf("%s: counter %s appeared (0 → %d)", label, name, g))
-			continue
-		}
-		rel := math.Abs(float64(g-w)) / math.Abs(float64(w))
-		if rel > CounterTolerance {
-			bad = append(bad, fmt.Sprintf("%s: counter %s drifted %.1f%% (%d → %d, tolerance %.0f%%)",
-				label, name, 100*rel, w, g, 100*CounterTolerance))
+	for c := obs.Counter(0); c < obs.NumCounters; c++ {
+		w, g := want.Get(c), got.Get(c)
+		switch {
+		case w == g:
+		case w == 0:
+			bad = append(bad, fmt.Sprintf("%s: counter %s appeared (0 → %d)", label, c.Name(), g))
+		default:
+			if rel := math.Abs(float64(g-w)) / math.Abs(float64(w)); rel > CounterTolerance {
+				bad = append(bad, fmt.Sprintf("%s: counter %s drifted %.1f%% (%d → %d, tolerance %.0f%%)",
+					label, c.Name(), 100*rel, w, g, 100*CounterTolerance))
+			}
 		}
 	}
 	return bad
